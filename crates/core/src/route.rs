@@ -748,22 +748,39 @@ pub fn replicate_and_verify(
 mod tests {
     use super::*;
     use crate::options::HiMapOptions;
-    use crate::submap::map_idfg;
+    use crate::submap::{map_idfg, SubMapping};
     use crate::unique::classify;
     use himap_cgra::{CgraSpec, Vsa};
     use himap_kernels::suite;
     use himap_systolic::{search, SearchConfig};
 
     fn pipeline(kernel: &himap_kernels::Kernel, c: usize) -> (Dfg, Layout, Classes) {
+        let sub = map_idfg(kernel, &CgraSpec::square(c), &HiMapOptions::default())[0].clone();
+        let (dfg, vsa, ranked) = systolic(kernel, c, &sub, (0, 1));
+        let layout = Layout::new(&dfg, vsa, sub, &ranked[0]);
+        let classes = classify(&dfg, &layout);
+        (dfg, layout, classes)
+    }
+
+    /// The unrolled block and ranked systolic maps of sub-mapping `sub`
+    /// with loop dims `space.0`/`space.1` mapped to the VSA rows/columns.
+    fn systolic(
+        kernel: &himap_kernels::Kernel,
+        c: usize,
+        sub: &SubMapping,
+        space: (usize, usize),
+    ) -> (Dfg, Vsa, Vec<himap_systolic::RankedMap>) {
         let spec = CgraSpec::square(c);
-        let options = HiMapOptions::default();
-        let sub = map_idfg(kernel, &spec, &options)[0].clone();
         let vsa = Vsa::new(spec, sub.s1, sub.s2).expect("tiles");
         let block: Vec<usize> = (0..kernel.dims())
-            .map(|dim| match dim {
-                0 if vsa.rows() > 1 => vsa.rows(),
-                1 if vsa.cols() > 1 => vsa.cols(),
-                _ => 4,
+            .map(|dim| {
+                if dim == space.0 && vsa.rows() > 1 {
+                    vsa.rows()
+                } else if dim == space.1 && vsa.cols() > 1 {
+                    vsa.cols()
+                } else {
+                    4
+                }
             })
             .collect();
         let dfg = Dfg::build(kernel, &block).expect("builds");
@@ -777,26 +794,231 @@ mod tests {
             mem_deps: dfg.mem_dep_distances(),
             anti_deps: dfg.anti_dep_distances(),
         });
-        let layout = Layout::new(&dfg, vsa, sub, &ranked[0]);
-        let classes = classify(&dfg, &layout);
-        (dfg, layout, classes)
+        (dfg, vsa, ranked)
+    }
+
+    /// The first space assignment and ranked systolic map of `kernel` whose
+    /// representatives route and replicate cleanly on a `c`×`c` array.
+    fn first_replicating(
+        kernel: &himap_kernels::Kernel,
+        c: usize,
+    ) -> (Dfg, Layout, Classes, RoutedDesign) {
+        let subs = map_idfg(kernel, &CgraSpec::square(c), &HiMapOptions::default());
+        for sub in &subs {
+            for space in [(0, 1), (1, 2), (0, 2)] {
+                let (dfg, vsa, ranked) = systolic(kernel, c, sub, space);
+                for st in ranked.iter().take(4) {
+                    let layout = Layout::new(&dfg, vsa.clone(), sub.clone(), st);
+                    let classes = classify(&dfg, &layout);
+                    if let Some((design, _)) = try_replicated_design(&dfg, &layout, &classes) {
+                        return (dfg, layout, classes, design);
+                    }
+                }
+            }
+        }
+        panic!("{} does not replicate on {c}x{c}", kernel.name())
     }
 
     /// The orchestrator's replication-aware negotiation loop, reproduced
     /// for direct testing of this module.
     fn route_with_feedback(dfg: &Dfg, layout: &Layout, classes: &Classes) -> Vec<FullRoute> {
+        replicated_design(dfg, layout, classes).1
+    }
+
+    /// [`route_with_feedback`], also returning the design that replicated
+    /// cleanly — the starting point for hand-edited replication tests.
+    fn replicated_design(
+        dfg: &Dfg,
+        layout: &Layout,
+        classes: &Classes,
+    ) -> (RoutedDesign, Vec<FullRoute>) {
+        try_replicated_design(dfg, layout, classes).expect("feedback loop converges")
+    }
+
+    fn try_replicated_design(
+        dfg: &Dfg,
+        layout: &Layout,
+        classes: &Classes,
+    ) -> Option<(RoutedDesign, Vec<FullRoute>)> {
         let options = HiMapOptions::default();
         let mut seed: Vec<RNode> = Vec::new();
         for _ in 0..options.replication_feedback_rounds {
-            let design = route_representatives(dfg, layout, classes, &options, &seed)
-                .expect("representatives route");
+            let design = route_representatives(dfg, layout, classes, &options, &seed).ok()?;
             match replicate_and_verify(dfg, layout, classes, &design) {
-                Ok(routes) => return routes,
+                Ok(routes) => return Some((design, routes)),
                 Err(RouteError::ReplicaConflicts { rep_frame, .. }) => seed.extend(rep_frame),
                 Err(e) => panic!("unexpected failure: {e}"),
             }
         }
-        panic!("feedback loop did not converge")
+        None
+    }
+
+    /// The in-edges of class `class`'s representative as `(descriptor,
+    /// root signal)`, in edge order.
+    fn rep_in_edges(
+        dfg: &Dfg,
+        layout: &Layout,
+        classes: &Classes,
+        class: usize,
+    ) -> Vec<(Descriptor, NodeId)> {
+        let rep_iter = dfg.iteration_at(classes.reps[class]);
+        dfg.graph()
+            .edge_ids()
+            .filter_map(|e| {
+                let (src, dst) = dfg.graph().edge_endpoints(e);
+                (dfg.graph()[dst].iter == rep_iter)
+                    .then(|| (descriptor(dfg, layout, e, rep_iter).1, dfg.graph()[e].signal(src)))
+            })
+            .collect()
+    }
+
+    /// A `RegWr` step in the representative frame of `class` (at the
+    /// representative's first op PE) that no replicated route claims, in the
+    /// representative or in any member translation, plus the class whose
+    /// representative has three in-edges with distinct root signals.
+    fn free_regwr(
+        dfg: &Dfg,
+        layout: &Layout,
+        classes: &Classes,
+        routes: &[FullRoute],
+    ) -> (usize, (PeId, RKind, i64)) {
+        let claimed: std::collections::HashSet<RNode> =
+            routes.iter().flat_map(|r| r.steps.iter().map(|&(n, _)| n)).collect();
+        for class in 0..classes.count() {
+            let mut roots: Vec<NodeId> =
+                rep_in_edges(dfg, layout, classes, class).into_iter().map(|(_, r)| r).collect();
+            roots.sort();
+            roots.dedup();
+            if roots.len() < 3 {
+                continue;
+            }
+            let rep_iter = dfg.iteration_at(classes.reps[class]);
+            let members: Vec<Iter4> = (0..classes.of.len())
+                .filter(|&i| classes.of[i] as usize == class)
+                .map(|i| dfg.iteration_at(i))
+                .collect();
+            let pe = dfg
+                .cluster(rep_iter)
+                .iter()
+                .find_map(|&n| match dfg.graph()[n].kind {
+                    NodeKind::Op { stmt, op, .. } => {
+                        Some(layout.op_slot(dfg, rep_iter, stmt, op).pe)
+                    }
+                    _ => None,
+                })
+                .expect("representatives hold ops");
+            let macro_start = layout.position(dfg, rep_iter).t as i64 * layout.sub().t as i64;
+            for cycle in 0..layout.iib() as i64 {
+                let step = (pe, RKind::RegWr, cycle - macro_start);
+                let free = members
+                    .iter()
+                    .all(|&m| !claimed.contains(&translate_step(layout, dfg, rep_iter, m, step).0));
+                if free {
+                    return (class, step);
+                }
+            }
+        }
+        panic!("no free RegWr slot in any class with three distinct in-edge signals")
+    }
+
+    /// Inserts `step` as a transit step of the pattern for `desc`.
+    fn claim(design: &mut RoutedDesign, class: usize, desc: &Descriptor, step: (PeId, RKind, i64)) {
+        let pattern = design.patterns[class].routes.get_mut(desc).expect("routed descriptor");
+        pattern.insert(1, step);
+    }
+
+    #[test]
+    fn repeated_signal_on_a_capacity_two_resource_is_not_a_conflict() {
+        let kernel = suite::gemm();
+        let (dfg, layout, classes) = pipeline(&kernel, 4);
+        let (mut design, routes) = replicated_design(&dfg, &layout, &classes);
+        let (class, step) = free_regwr(&dfg, &layout, &classes, &routes);
+        let rep_iter = dfg.iteration_at(classes.reps[class]);
+        let node = translate_step(&layout, &dfg, rep_iter, rep_iter, step).0;
+        let index = MrrgIndex::shared(layout.vsa().spec().clone(), layout.iib());
+        assert_eq!(index.capacity(index.index_of(node).expect("indexed")), 2);
+        // Signal A claims the resource twice (two steps of one route), signal
+        // B once: three claims, but only two distinct signals.
+        let edges = rep_in_edges(&dfg, &layout, &classes, class);
+        let (desc_a, root_a) = edges[0];
+        let (desc_b, _) =
+            edges.iter().find(|(_, root)| *root != root_a).copied().expect("second signal");
+        claim(&mut design, class, &desc_a, step);
+        claim(&mut design, class, &desc_a, step);
+        claim(&mut design, class, &desc_b, step);
+        let replicated = replicate_and_verify(&dfg, &layout, &classes, &design);
+        assert!(replicated.is_ok(), "two distinct signals fit capacity 2: {replicated:?}");
+    }
+
+    #[test]
+    fn three_distinct_signals_on_a_capacity_two_resource_conflict() {
+        let kernel = suite::gemm();
+        let (dfg, layout, classes) = pipeline(&kernel, 4);
+        let (mut design, routes) = replicated_design(&dfg, &layout, &classes);
+        let (class, step) = free_regwr(&dfg, &layout, &classes, &routes);
+        let rep_iter = dfg.iteration_at(classes.reps[class]);
+        let node = translate_step(&layout, &dfg, rep_iter, rep_iter, step).0;
+        let mut seen: Vec<NodeId> = Vec::new();
+        for (desc, root) in rep_in_edges(&dfg, &layout, &classes, class) {
+            if seen.len() < 3 && !seen.contains(&root) {
+                seen.push(root);
+                claim(&mut design, class, &desc, step);
+            }
+        }
+        assert_eq!(seen.len(), 3);
+        match replicate_and_verify(&dfg, &layout, &classes, &design) {
+            Err(RouteError::ReplicaConflicts { count, rep_frame }) => {
+                assert!(count >= 1);
+                assert!(rep_frame.contains(&node), "{node:?} missing from {rep_frame:?}");
+            }
+            other => panic!("expected a replica conflict, got {other:?}"),
+        }
+    }
+
+    /// Shifts the first step (the load) of the pattern carrying an out-edge
+    /// of `input` by `delta` cycles. A multiple of the II keeps every
+    /// resource claim identical, so only the absolute load time moves.
+    fn shift_load(
+        dfg: &Dfg,
+        layout: &Layout,
+        classes: &Classes,
+        design: &mut RoutedDesign,
+        input: NodeId,
+        delta: i64,
+    ) {
+        let e = dfg.graph().out_edges(input).next().expect("the load feeds an op").id;
+        let (_, dst) = dfg.graph().edge_endpoints(e);
+        let dst_iter = dfg.graph()[dst].iter;
+        let class = classes.of[dfg.linear_index(dst_iter)] as usize;
+        let (_, desc) = descriptor(dfg, layout, e, dst_iter);
+        let pattern = design.patterns[class].routes.get_mut(&desc).expect("routed descriptor");
+        pattern[0].2 += delta;
+    }
+
+    #[test]
+    fn delayed_live_in_load_violates_an_anti_dependence() {
+        let kernel = suite::gemm();
+        let (dfg, layout, classes) = pipeline(&kernel, 4);
+        let (mut design, _) = replicated_design(&dfg, &layout, &classes);
+        let (reader, _) = dfg.anti_deps()[0];
+        let delta = 64 * layout.iib() as i64;
+        shift_load(&dfg, &layout, &classes, &mut design, reader, delta);
+        assert_eq!(
+            replicate_and_verify(&dfg, &layout, &classes, &design).map(|_| ()),
+            Err(RouteError::AntiDependence)
+        );
+    }
+
+    #[test]
+    fn early_load_violates_memory_causality() {
+        let (dfg, layout, classes, mut design) = first_replicating(&suite::floyd_warshall(), 4);
+        let (_, consumer) = dfg.mem_deps()[0];
+        let delta = -64 * layout.iib() as i64;
+        shift_load(&dfg, &layout, &classes, &mut design, consumer, delta);
+        assert_eq!(
+            replicate_and_verify(&dfg, &layout, &classes, &design).map(|_| ()),
+            Err(RouteError::MemCausality)
+        );
     }
 
     #[test]
