@@ -2,9 +2,12 @@
 # Local CI gate: formatting, lints, release build, tests, bench regression.
 #
 # Usage:
-#   ./ci.sh                full gate (mirrored stage-by-stage by .github/workflows/ci.yml)
+#   ./ci.sh                full gate
 #   ./ci.sh --quick        inner-loop subset: fmt + clippy + debug tests
-#   ./ci.sh --stage NAME   run only stages whose name contains NAME
+#   ./ci.sh --stage NAME   run only the stage named exactly NAME
+#
+# This file is the one CI definition: each step of
+# .github/workflows/ci.yml runs `./ci.sh --stage "<name>"` for one stage.
 #
 # Every stage must pass; per-stage wall time is printed as it runs, and a
 # recap table sorted slowest-first closes the log so the expensive stages
@@ -19,7 +22,7 @@ while [ $# -gt 0 ]; do
     --quick) QUICK=1; shift ;;
     --stage)
       if [ $# -lt 2 ]; then
-        echo "--stage requires a stage-name substring" >&2
+        echo "--stage requires a stage name" >&2
         exit 2
       fi
       STAGE_FILTER="$2"; shift 2 ;;
@@ -28,12 +31,12 @@ while [ $# -gt 0 ]; do
 done
 
 # Runs one named stage, timing it: stage <name> <cmd...>
-# With --stage, stages whose name does not contain the filter are skipped.
+# With --stage, every stage but the one named exactly NAME is skipped.
 STAGE_TIMINGS=()
 STAGES_RUN=0
 stage() {
   local name="$1"; shift
-  if [ -n "$STAGE_FILTER" ] && [[ "$name" != *"$STAGE_FILTER"* ]]; then
+  if [ -n "$STAGE_FILTER" ] && [ "$name" != "$STAGE_FILTER" ]; then
     return 0
   fi
   STAGES_RUN=$((STAGES_RUN + 1))
@@ -46,11 +49,11 @@ stage() {
   STAGE_TIMINGS+=("$(printf '%6d  %s' "$elapsed" "$name")")
 }
 
-# Prints the sorted per-stage recap; fails if a --stage filter matched nothing.
+# Prints the sorted per-stage recap; fails if no stage has the --stage name.
 recap() {
   if [ "$STAGES_RUN" -eq 0 ]; then
     if [ -n "$STAGE_FILTER" ]; then
-      echo "no stage name contains '${STAGE_FILTER}'" >&2
+      echo "no stage is named '${STAGE_FILTER}'" >&2
     else
       echo "no stages ran" >&2
     fi
@@ -107,7 +110,8 @@ stage "bound consistency vs exact oracle" \
   cargo test --release -q --test static_analysis -- --ignored
 
 # Wall-time-sensitive tests excluded from the default run: the 4-thread walk
-# must not be slower than sequential (work-queue scheduler promise).
+# must not be slower than sequential (work-queue scheduler promise), and a
+# paper-scale map (gemm b = c = 32) must honour a 250 ms deadline within 2x.
 stage "cargo test --ignored (wall-time)" \
   cargo test --release -q --test determinism -- --ignored
 

@@ -469,6 +469,7 @@ impl HiMap {
         StatsCollector::add(&stats.sub_shapes_tried, sub_stats.shapes_tried);
         StatsCollector::add(&stats.sub_candidates, subs.len());
         stats.add_router(sub_stats.router);
+        stats.record_scratch(sub_stats.scratch_bytes);
         // Remember the best sub-candidate of this walk for the ladder's
         // attempt trail (shape and II of the closest miss).
         *lock(&stats.best_sub_shape) = subs.first().map(|s| (s.s1, s.s2, s.t));
@@ -908,6 +909,7 @@ fn evaluate(
             stats.add_router(counters.router);
             stats.add_index_time(counters.index_build);
             stats.record_memory(router.index().memory_stats());
+            stats.record_scratch(router.scratch_bytes());
             if abandon() {
                 // A cancelled negotiation surfaces as a route failure; don't
                 // let it masquerade as one in the walk's error reporting.
@@ -925,9 +927,9 @@ fn evaluate(
                 }
             };
             StatsCollector::add(&stats.replication_rounds, 1);
-            match stats
-                .timed(Stage::Replicate, || replicate_and_verify(&dfg, &layout, &classes, &design))
-            {
+            match stats.timed(Stage::Replicate, || {
+                replicate_and_verify(&dfg, &layout, &classes, &design, cancel)
+            }) {
                 Ok(routes) => {
                     routed = Some(routes);
                     break;
@@ -936,6 +938,7 @@ fn evaluate(
                     seed_history.extend(rep_frame);
                     continue;
                 }
+                Err(crate::route::RouteError::Cancelled) => return Verdict::Abandoned,
                 Err(_) => break,
             }
         }

@@ -11,10 +11,10 @@ use std::error::Error;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use himap_cgra::{Mrrg, MrrgIndex, PeId, RKind, RNode};
+use himap_cgra::{Mrrg, MrrgIndex, PeId, RIdx, RKind, RNode};
 use himap_dfg::{Dfg, EdgeKind, Iter4, NodeKind};
 use himap_graph::{EdgeId, NodeId};
-use himap_mapper::{Elapsed, Router, RouterConfig, RouterStats, SignalId};
+use himap_mapper::{CancelToken, Elapsed, Router, RouterConfig, RouterStats, SignalId};
 
 use crate::layout::Layout;
 use crate::options::HiMapOptions;
@@ -81,6 +81,9 @@ pub enum RouteError {
         /// The class whose pattern set is incomplete.
         class: usize,
     },
+    /// Replication stopped because its cancel token fired (a deadline
+    /// passed or a better candidate won); the candidate is abandoned.
+    Cancelled,
     /// A representative op slot lands on an FU masked out of the MRRG —
     /// a dead or route-only PE. The capability-blind layout proposed it;
     /// the candidate is rejected before any routing work.
@@ -104,6 +107,7 @@ impl fmt::Display for RouteError {
             RouteError::MissingPattern { class } => {
                 write!(f, "class {class} is missing a routed pattern for one of its edges")
             }
+            RouteError::Cancelled => write!(f, "replication was cancelled"),
             RouteError::MaskedSlot(node) => {
                 write!(f, "op slot {node:?} is masked out of the MRRG (dead or route-only PE)")
             }
@@ -256,6 +260,11 @@ fn negotiate(
                 clear_routes(dfg, layout, classes, router);
             }
             Err(e) => {
+                // A cancelled router refuses every search, so the remaining
+                // rounds could only fail the same way.
+                if router.is_cancelled() {
+                    return Err(e);
+                }
                 last_err = e;
                 router.bump_history();
                 clear_routes(dfg, layout, classes, router);
@@ -465,16 +474,51 @@ fn translate_step(
     member_iter: Iter4,
     step: (PeId, RKind, i64),
 ) -> (RNode, i64) {
-    let rep_pos = layout.position(dfg, rep_iter);
-    let pos = layout.position(dfg, member_iter);
-    let t = layout.sub().t as i64;
-    let (pe, kind, offset) = step;
-    let dx = (pos.x - rep_pos.x) * layout.sub().s1 as i32;
-    let dy = (pos.y - rep_pos.y) * layout.sub().s2 as i32;
-    let npe = PeId::new((pe.x as i32 + dx) as usize, (pe.y as i32 + dy) as usize);
-    let abs = pos.t as i64 * t + offset;
-    let cycle = abs.rem_euclid(layout.iib() as i64) as u32;
-    (RNode::new(npe, cycle, kind), abs)
+    Shift::between(layout, dfg, rep_iter, member_iter).apply(step)
+}
+
+/// The space-time translation from a class representative's frame to one
+/// member's frame, computed once per route and applied per step.
+#[derive(Clone, Copy, Debug)]
+struct Shift {
+    /// PE offset, in PEs.
+    dx: i32,
+    dy: i32,
+    /// The member's macro start: pattern offsets are relative to it.
+    start: i64,
+    /// Member macro start minus the representative's.
+    dt: i64,
+    iib: i64,
+}
+
+impl Shift {
+    fn between(layout: &Layout, dfg: &Dfg, rep_iter: Iter4, member_iter: Iter4) -> Self {
+        let rep_pos = layout.position(dfg, rep_iter);
+        let pos = layout.position(dfg, member_iter);
+        let t = layout.sub().t as i64;
+        Shift {
+            dx: (pos.x - rep_pos.x) * layout.sub().s1 as i32,
+            dy: (pos.y - rep_pos.y) * layout.sub().s2 as i32,
+            start: pos.t as i64 * t,
+            dt: (pos.t - rep_pos.t) as i64 * t,
+            iib: layout.iib() as i64,
+        }
+    }
+
+    /// The member-frame node and absolute time of a pattern step.
+    #[inline]
+    fn apply(&self, (pe, kind, offset): (PeId, RKind, i64)) -> (RNode, i64) {
+        let npe = PeId::new((pe.x as i32 + self.dx) as usize, (pe.y as i32 + self.dy) as usize);
+        let abs = self.start + offset;
+        (RNode::new(npe, abs.rem_euclid(self.iib) as u32, kind), abs)
+    }
+
+    /// The representative-frame node of a member-frame step.
+    fn unapply(&self, (node, abs): (RNode, i64)) -> RNode {
+        let pe =
+            PeId::new((node.pe.x as i32 - self.dx) as usize, (node.pe.y as i32 - self.dy) as usize);
+        RNode::new(pe, (abs - self.dt).rem_euclid(self.iib) as u32, node.kind)
+    }
 }
 
 /// Candidate memory-port sources for a load, filtered by store→load
@@ -571,24 +615,43 @@ pub struct FullRoute {
     pub steps: Vec<(RNode, i64)>,
 }
 
+/// Marks a replicated step whose node is not in the MRRG.
+const UNINDEXED: u32 = u32::MAX;
+
+/// Edges stamped between two polls of the replication cancel token: a few
+/// microseconds of work, so a fired deadline stops replication promptly
+/// while the poll stays invisible in the profile.
+const CANCEL_POLL_EDGES: usize = 1024;
+
 /// Replicates all class patterns over every iteration, verifying resource
 /// capacities and memory causality.
 ///
-/// On success returns the complete per-edge routing.
+/// On success returns the complete per-edge routing. `cancel` (when
+/// present) is polled every [`CANCEL_POLL_EDGES`] edges while stamping;
+/// once it fires, replication stops with [`RouteError::Cancelled`].
 pub fn replicate_and_verify(
     dfg: &Dfg,
     layout: &Layout,
     classes: &Classes,
     design: &RoutedDesign,
+    cancel: Option<&CancelToken>,
 ) -> Result<Vec<FullRoute>, RouteError> {
     let iib = layout.iib();
     let spec = layout.vsa().spec();
-    // Full-array occupancy is dense: one slot vector per MRRG resource id.
-    // The shared index is the same build the representative negotiation used,
-    // so replication adds no per-call graph construction.
+    // The shared index is the same build the representative negotiation
+    // used, so replication adds no per-call graph construction.
     let index = MrrgIndex::shared(spec.clone(), iib);
-    let mut occupancy: Vec<Vec<u32>> = vec![Vec::new(); index.len()];
+    // Every resource claim as `(dense id << 32) | signal`: op FU slots claim
+    // with their (unique) node id, route steps with their root signal.
+    // Sorting and deduplicating the flat list groups claims by resource, so
+    // occupancy costs memory in proportion to the stamped steps, not to the
+    // fabric.
+    let mut claims: Vec<u64> = Vec::new();
+    let claim = |ri: RIdx, signal: u32| (u64::from(ri.0) << 32) | u64::from(signal);
     let mut routes = Vec::with_capacity(dfg.graph().edge_count());
+    // Dense id of every route step in stamping order (`UNINDEXED` off the
+    // MRRG), so the conflict pass below needs no second index lookup.
+    let mut step_ridx: Vec<u32> = Vec::new();
     // Steps (in the representative frame) whose translations land on
     // faulted or capability-illegal resources; reported together so the
     // feedback loop steers the next negotiation round around them.
@@ -608,7 +671,7 @@ pub fn replicate_and_verify(
                 continue;
             }
             if let Some(ri) = index.index_of(fu) {
-                occupancy[ri.index()].push(node.index() as u32);
+                claims.push(claim(ri, node.index() as u32));
             } else {
                 debug_assert!(false, "op slot outside the array at {fu:?}");
             }
@@ -618,29 +681,30 @@ pub fn replicate_and_verify(
     // lands on a faulted resource invalidates the whole pattern for that
     // member: collect the offending steps in the representative frame so
     // the feedback loop steers the next negotiation round around them.
-    for e in dfg.graph().edge_ids() {
+    for (n, e) in dfg.graph().edge_ids().enumerate() {
+        if n % CANCEL_POLL_EDGES == 0 && cancel.is_some_and(CancelToken::is_cancelled) {
+            return Err(RouteError::Cancelled);
+        }
         let (src, dst) = dfg.graph().edge_endpoints(e);
         let dst_iter = dfg.graph()[dst].iter;
         let class = classes.of[dfg.linear_index(dst_iter)] as usize;
         let (_, desc) = descriptor(dfg, layout, e, dst_iter);
         let pattern =
             design.patterns[class].routes.get(&desc).ok_or(RouteError::MissingPattern { class })?;
-        let rep_iter = dfg.iteration_at(classes.reps[class]);
-        let root = dfg.graph()[e].signal(src);
+        let shift = Shift::between(layout, dfg, dfg.iteration_at(classes.reps[class]), dst_iter);
+        let root = dfg.graph()[e].signal(src).index() as u32;
         let mut steps = Vec::with_capacity(pattern.len());
         for (i, &step) in pattern.iter().enumerate() {
-            let (node, abs) = translate_step(layout, dfg, rep_iter, dst_iter, step);
+            let (node, abs) = shift.apply(step);
             debug_assert!(spec.contains(node.pe), "translated route leaves the array at {node:?}");
+            let ri = index.index_of(node);
+            step_ridx.push(ri.map_or(UNINDEXED, |ri| ri.0));
             let endpoint = i == 0 || i == pattern.len() - 1;
             if !(endpoint && node.kind == RKind::Fu) {
-                if let Some(ri) = index.index_of(node) {
-                    let occ = &mut occupancy[ri.index()];
-                    if !occ.contains(&(root.index() as u32)) {
-                        occ.push(root.index() as u32);
-                    }
+                if let Some(ri) = ri {
+                    claims.push(claim(ri, root));
                 } else if spec.faults.masks(spec, node) {
-                    let (rep_node, _) = translate_step(layout, dfg, rep_iter, rep_iter, step);
-                    faulted_steps.push(rep_node);
+                    faulted_steps.push(shift.unapply((node, abs)));
                 }
             }
             steps.push((node, abs));
@@ -655,92 +719,90 @@ pub fn replicate_and_verify(
             rep_frame: faulted_steps,
         });
     }
-    // Capacity check. On conflicts, translate the offending steps back into
-    // their representatives' frames so the caller can penalize them in the
-    // next negotiation round.
-    let mut conflicted = vec![false; index.len()];
-    let mut conflict_count = 0usize;
-    for (i, sigs) in occupancy.iter().enumerate() {
-        if sigs.len() > index.capacity(himap_cgra::RIdx(i as u32)) {
-            conflicted[i] = true;
-            conflict_count += 1;
+    // Capacity check: after dedup each run of equal dense ids lists the
+    // resource's distinct signals. On conflicts, translate the offending
+    // steps back into their representatives' frames so the caller can
+    // penalize them in the next negotiation round.
+    claims.sort_unstable();
+    claims.dedup();
+    let mut conflicted: Vec<u32> = Vec::new();
+    for run in claims.chunk_by(|a, b| a >> 32 == b >> 32) {
+        let ri = RIdx((run[0] >> 32) as u32);
+        if run.len() > index.capacity(ri) {
+            conflicted.push(ri.0);
         }
     }
-    if conflict_count > 0 {
+    if !conflicted.is_empty() {
         let mut rep_frame = Vec::new();
-        let t = layout.sub().t as i64;
+        let mut step_ridx = step_ridx.into_iter();
         for route in &routes {
-            let (_, dst) = dfg.graph().edge_endpoints(route.edge);
-            let dst_iter = dfg.graph()[dst].iter;
-            let class = classes.of[dfg.linear_index(dst_iter)] as usize;
-            let rep_iter = dfg.iteration_at(classes.reps[class]);
-            let rep_pos = layout.position(dfg, rep_iter);
-            let member_pos = layout.position(dfg, dst_iter);
-            for &(node, abs) in &route.steps {
-                if index.index_of(node).is_some_and(|ri| conflicted[ri.index()]) {
+            let mut shift = None;
+            for (&step, ri) in route.steps.iter().zip(step_ridx.by_ref()) {
+                if ri != UNINDEXED && conflicted.binary_search(&ri).is_ok() {
                     // Same step in the representative frame.
-                    let rep_abs = abs - (member_pos.t - rep_pos.t) as i64 * t;
-                    let dx = (member_pos.x - rep_pos.x) * layout.sub().s1 as i32;
-                    let dy = (member_pos.y - rep_pos.y) * layout.sub().s2 as i32;
-                    let rep_pe = PeId::new(
-                        (node.pe.x as i32 - dx) as usize,
-                        (node.pe.y as i32 - dy) as usize,
-                    );
-                    let cycle = rep_abs.rem_euclid(iib as i64) as u32;
-                    rep_frame.push(RNode::new(rep_pe, cycle, node.kind));
+                    let shift = *shift.get_or_insert_with(|| {
+                        let (_, dst) = dfg.graph().edge_endpoints(route.edge);
+                        let dst_iter = dfg.graph()[dst].iter;
+                        let class = classes.of[dfg.linear_index(dst_iter)] as usize;
+                        Shift::between(layout, dfg, dfg.iteration_at(classes.reps[class]), dst_iter)
+                    });
+                    rep_frame.push(shift.unapply(step));
                 }
             }
         }
         rep_frame.sort();
         rep_frame.dedup();
-        return Err(RouteError::ReplicaConflicts { count: conflict_count, rep_frame });
+        return Err(RouteError::ReplicaConflicts { count: conflicted.len(), rep_frame });
     }
+    check_load_times(dfg, layout, &routes)?;
+    Ok(routes)
+}
+
+/// The anti-dependence and memory-causality checks over replicated routes.
+///
+/// A load's absolute time is the first step of a route leaving its input
+/// node; the earliest and latest load per input are gathered in one pass
+/// over the routes, so each dependence is answered by one lookup.
+fn check_load_times(dfg: &Dfg, layout: &Layout, routes: &[FullRoute]) -> Result<(), RouteError> {
+    if dfg.anti_deps().is_empty() && dfg.mem_deps().is_empty() {
+        return Ok(());
+    }
+    let mut load_abs: Vec<Option<(i64, i64)>> = vec![None; dfg.graph().node_count()];
+    for route in routes {
+        let (src, _) = dfg.graph().edge_endpoints(route.edge);
+        let abs = route.steps[0].1;
+        let span = &mut load_abs[src.index()];
+        *span = Some(span.map_or((abs, abs), |(lo, hi)| (lo.min(abs), hi.max(abs))));
+    }
+    let op_abs = |node: NodeId| match dfg.graph()[node].kind {
+        NodeKind::Op { stmt, op, .. } => {
+            Some(layout.op_slot(dfg, dfg.graph()[node].iter, stmt, op).abs)
+        }
+        _ => None,
+    };
     // Anti-dependences: a live-in load must issue before the overwriting
     // store becomes visible (load_abs <= writer_abs + 1; the store is
     // readable from writer_abs + 2).
     for &(reader, writer) in dfg.anti_deps() {
-        let NodeKind::Op { stmt, op, .. } = dfg.graph()[writer].kind else {
+        let (Some(w_abs), Some((_, latest))) = (op_abs(writer), load_abs[reader.index()]) else {
             continue;
         };
-        let w_abs = layout.op_slot(dfg, dfg.graph()[writer].iter, stmt, op).abs;
-        let load_abs = routes
-            .iter()
-            .filter(|r| {
-                let (s, _) = dfg.graph().edge_endpoints(r.edge);
-                s == reader
-            })
-            .map(|r| r.steps[0].1)
-            .max();
-        if let Some(load_abs) = load_abs {
-            if load_abs > w_abs + 1 {
-                return Err(RouteError::AntiDependence);
-            }
+        if latest > w_abs + 1 {
+            return Err(RouteError::AntiDependence);
         }
     }
     // Memory causality: every memory-routed load happens at least two cycles
     // after its producing op.
     for &(producer, consumer) in dfg.mem_deps() {
-        let NodeKind::Op { stmt, op, .. } = dfg.graph()[producer].kind else {
+        let (Some(p_abs), Some((earliest, _))) = (op_abs(producer), load_abs[consumer.index()])
+        else {
             continue;
         };
-        let p_abs = layout.op_slot(dfg, dfg.graph()[producer].iter, stmt, op).abs;
-        // The load's absolute time = first step of any out-edge route of the
-        // consumer input node.
-        let load_abs = routes
-            .iter()
-            .filter(|r| {
-                let (s, _) = dfg.graph().edge_endpoints(r.edge);
-                s == consumer
-            })
-            .map(|r| r.steps[0].1)
-            .min();
-        if let Some(load_abs) = load_abs {
-            if load_abs < p_abs + 2 {
-                return Err(RouteError::MemCausality);
-            }
+        if earliest < p_abs + 2 {
+            return Err(RouteError::MemCausality);
         }
     }
-    Ok(routes)
+    Ok(())
 }
 
 #[allow(clippy::unwrap_used, clippy::expect_used)]
@@ -844,7 +906,7 @@ mod tests {
         let mut seed: Vec<RNode> = Vec::new();
         for _ in 0..options.replication_feedback_rounds {
             let design = route_representatives(dfg, layout, classes, &options, &seed).ok()?;
-            match replicate_and_verify(dfg, layout, classes, &design) {
+            match replicate_and_verify(dfg, layout, classes, &design, None) {
                 Ok(routes) => return Some((design, routes)),
                 Err(RouteError::ReplicaConflicts { rep_frame, .. }) => seed.extend(rep_frame),
                 Err(e) => panic!("unexpected failure: {e}"),
@@ -946,7 +1008,7 @@ mod tests {
         claim(&mut design, class, &desc_a, step);
         claim(&mut design, class, &desc_a, step);
         claim(&mut design, class, &desc_b, step);
-        let replicated = replicate_and_verify(&dfg, &layout, &classes, &design);
+        let replicated = replicate_and_verify(&dfg, &layout, &classes, &design, None);
         assert!(replicated.is_ok(), "two distinct signals fit capacity 2: {replicated:?}");
     }
 
@@ -966,7 +1028,7 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 3);
-        match replicate_and_verify(&dfg, &layout, &classes, &design) {
+        match replicate_and_verify(&dfg, &layout, &classes, &design, None) {
             Err(RouteError::ReplicaConflicts { count, rep_frame }) => {
                 assert!(count >= 1);
                 assert!(rep_frame.contains(&node), "{node:?} missing from {rep_frame:?}");
@@ -1004,7 +1066,7 @@ mod tests {
         let delta = 64 * layout.iib() as i64;
         shift_load(&dfg, &layout, &classes, &mut design, reader, delta);
         assert_eq!(
-            replicate_and_verify(&dfg, &layout, &classes, &design).map(|_| ()),
+            replicate_and_verify(&dfg, &layout, &classes, &design, None).map(|_| ()),
             Err(RouteError::AntiDependence)
         );
     }
@@ -1016,7 +1078,7 @@ mod tests {
         let delta = -64 * layout.iib() as i64;
         shift_load(&dfg, &layout, &classes, &mut design, consumer, delta);
         assert_eq!(
-            replicate_and_verify(&dfg, &layout, &classes, &design).map(|_| ()),
+            replicate_and_verify(&dfg, &layout, &classes, &design, None).map(|_| ()),
             Err(RouteError::MemCausality)
         );
     }
@@ -1077,6 +1139,7 @@ mod tests {
             RouteError::AntiDependence,
             RouteError::NonCausal(EdgeId::from_index(0)),
             RouteError::MissingPattern { class: 2 },
+            RouteError::Cancelled,
             RouteError::MaskedSlot(RNode::new(himap_cgra::PeId::new(3, 0), 0, RKind::Fu)),
         ];
         for e in errors {

@@ -128,8 +128,9 @@ pub struct PipelineStats {
     pub router_nodes_popped: u64,
     /// Heap entries pushed across all router searches.
     pub router_heap_pushes: u64,
-    /// Full clears of the router's epoch-stamped scratch (reallocation on
-    /// growth or epoch wraparound) — stays tiny when scratch reuse works.
+    /// Growth events of the routers' epoch-stamped scratch (pages allocated
+    /// on first touch, plus epoch wraparound resets) — stays tiny when
+    /// scratch reuse works.
     pub router_epoch_resets: u64,
     /// Router searches aborted by cooperative cancellation (the shared
     /// best-candidate bound dropped below the routing candidate's index).
@@ -152,6 +153,12 @@ pub struct PipelineStats {
     /// mega-fabric tiled path asserts this stays at sub-CGRA scale (the
     /// full-fabric graph is never materialised).
     pub memory: MemoryStats,
+    /// High-water mark of one router's allocated search scratch, in bytes
+    /// ([`Router::scratch_bytes`](himap_mapper::Router::scratch_bytes)),
+    /// across the `MAP()` probe routers and the `ROUTE()` routers. Scratch
+    /// pages are allocated where searches reach, so this follows the
+    /// routed region rather than the fabric's state space.
+    pub router_scratch_bytes: usize,
 }
 
 impl PipelineStats {
@@ -218,10 +225,11 @@ impl PipelineStats {
         );
         if self.memory.nodes > 0 {
             out.push_str(&format!(
-                "\n  memory   largest index {} nodes, {} edges, {:.1} MiB",
+                "\n  memory   largest index {} nodes, {} edges, {:.1} MiB; router scratch {:.1} MiB",
                 self.memory.nodes,
                 self.memory.edges,
                 self.memory.bytes as f64 / (1024.0 * 1024.0),
+                self.router_scratch_bytes as f64 / (1024.0 * 1024.0),
             ));
         }
         if let Some(bounds) = &self.static_bounds {
@@ -292,6 +300,8 @@ pub(crate) struct StatsCollector {
     pub(crate) static_bounds: Mutex<Option<StaticBounds>>,
     /// High-water mark of acquired MRRG index footprints.
     memory: Mutex<MemoryStats>,
+    /// High-water mark of one router's search scratch, in bytes.
+    scratch_bytes: AtomicUsize,
 }
 
 /// The instrumented stages (each maps to one nanosecond accumulator).
@@ -355,6 +365,11 @@ impl StatsCollector {
         *hw = hw.max(m);
     }
 
+    /// Folds one router's allocated search scratch into the high-water mark.
+    pub(crate) fn record_scratch(&self, bytes: usize) {
+        self.scratch_bytes.fetch_max(bytes, Ordering::Relaxed);
+    }
+
     /// Freezes the collector into the public snapshot.
     pub(crate) fn snapshot(&self, total: Duration, threads: usize) -> PipelineStats {
         let dur = |cell: &AtomicU64| Duration::from_nanos(cell.load(Ordering::Relaxed));
@@ -399,6 +414,7 @@ impl StatsCollector {
             attempts: crate::himap::lock(&self.attempts).clone(),
             static_bounds: *crate::himap::lock(&self.static_bounds),
             memory: *crate::himap::lock(&self.memory),
+            router_scratch_bytes: self.scratch_bytes.load(Ordering::Relaxed),
         }
     }
 }

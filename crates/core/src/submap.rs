@@ -44,6 +44,8 @@ pub struct SubMapStats {
     pub mapped: usize,
     /// Router search effort summed across every attempted shape.
     pub router: RouterStats,
+    /// Largest search scratch one probe router allocated, in bytes.
+    pub scratch_bytes: usize,
 }
 
 /// Runs `MAP()`: enumerates sub-CGRA shapes and time depths, returning all
@@ -94,7 +96,7 @@ pub fn map_idfg_counted(
                 }
                 stats.shapes_tried += 1;
                 if let Some(sub) =
-                    try_shape(&probe, &idfg, cgra, s1, s2, t, options, cancel, &mut stats.router)
+                    try_shape(&probe, &idfg, cgra, s1, s2, t, options, cancel, &mut stats)
                 {
                     out.push(sub);
                 }
@@ -122,7 +124,7 @@ fn try_shape(
     t: usize,
     options: &HiMapOptions,
     cancel: Option<&CancelToken>,
-    router_stats: &mut RouterStats,
+    stats: &mut SubMapStats,
 ) -> Option<SubMapping> {
     // Probing is position-agnostic: the relative mapping is replicated only
     // onto healthy tiles, so the sub-CGRA spec drops the physical fault map.
@@ -155,7 +157,8 @@ fn try_shape(
             router.bump_history();
         }
     }
-    router_stats.merge(&router.take_search_stats());
+    stats.router.merge(&router.take_search_stats());
+    stats.scratch_bytes = stats.scratch_bytes.max(router.scratch_bytes());
     result
 }
 

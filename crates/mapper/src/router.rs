@@ -88,9 +88,11 @@ pub struct RouterStats {
     pub nodes_popped: u64,
     /// Heap entries pushed (source seeds and relaxations).
     pub heap_pushes: u64,
-    /// Full stamp-array resets: scratch (re)allocation on growth plus the
-    /// one-in-`u32::MAX` epoch wraparound. Searches only bump the epoch, so
-    /// this staying near zero is the "no per-route allocation" invariant.
+    /// Scratch growth and resets: search-state pages allocated on first
+    /// touch plus the one-in-`u32::MAX` epoch wraparound. Searches only bump
+    /// the epoch and pages survive across searches, so this staying flat
+    /// once a session's routes have been seen is the "no per-route
+    /// allocation" invariant.
     pub epoch_resets: u64,
     /// Searches aborted mid-flight by the [`CancelToken`] — the caller's
     /// result cannot matter anymore, so the pop loop stopped expanding.
@@ -268,29 +270,46 @@ impl Ord for BoundedEntry {
     }
 }
 
-/// Sentinel for "no predecessor" in the packed `prev` array.
+/// Sentinel for "no predecessor" in a slot's packed `prev` key.
 const NO_PREV: u32 = u32::MAX;
+
+/// Search states per scratch page. A search touches states around its
+/// sources and along its bounding box, so a few-thousand-state page keeps
+/// the touched footprint close to the work while the page directory stays
+/// tiny even for a full-fabric state space.
+const PAGE_STATES: usize = 4096;
+
+/// One Dijkstra state: valid only while `stamp` equals the search epoch.
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    stamp: u32,
+    /// Packed predecessor state key; `NO_PREV` for source seeds.
+    prev: u32,
+    dist: f64,
+}
 
 /// Epoch-stamped Dijkstra state reused across `route*` calls.
 ///
-/// A search over states `(node, elapsed ≤ cap)` addresses flat arrays at
-/// `node_id * (cap + 1) + elapsed`. Entries are valid only when their stamp
-/// equals the current epoch, so starting a search is one integer increment
-/// — no clearing, no hashing, no allocation once the arrays have grown to
-/// the session's largest search.
+/// A search over states `(node, elapsed ≤ cap)` addresses them by the key
+/// `node_id * (cap + 1) + elapsed`. Keys are split into fixed-size pages
+/// allocated on first write, so memory follows the states a search actually
+/// reaches rather than the whole `nodes × (cap + 1)` space. A slot is valid
+/// only when its stamp equals the current epoch, so starting a search is one
+/// integer increment — no clearing, no hashing — and pages survive across
+/// searches, so the steady state does not allocate.
 #[derive(Clone, Debug, Default)]
 struct SearchScratch {
     epoch: u32,
     stride: usize,
-    stamp: Vec<u32>,
-    dist: Vec<f64>,
-    /// Packed predecessor state key; `NO_PREV` for source seeds.
-    prev: Vec<u32>,
+    /// Page directory over the key space; `None` until a state is written.
+    pages: Vec<Option<Box<[Slot]>>>,
+    /// Pages allocated so far (the `Some` entries of `pages`).
+    allocated: usize,
     heap: BinaryHeap<HeapEntry>,
 }
 
 impl SearchScratch {
-    /// Opens a new search epoch sized for `nodes * stride` states.
+    /// Opens a new search epoch over `nodes * stride` states.
     ///
     /// # Panics
     ///
@@ -299,16 +318,14 @@ impl SearchScratch {
     fn begin(&mut self, nodes: usize, stride: usize, stats: &mut RouterStats) {
         let want = nodes * stride;
         assert!(want < u32::MAX as usize, "router search state exceeds the u32 key space");
-        if want > self.stamp.len() {
-            self.stamp.clear();
-            self.stamp.resize(want, 0);
-            self.dist.resize(want, 0.0);
-            self.prev.resize(want, NO_PREV);
-            self.epoch = 0;
-            stats.epoch_resets += 1;
+        let dir = want.div_ceil(PAGE_STATES);
+        if dir > self.pages.len() {
+            self.pages.resize_with(dir, || None);
         }
         if self.epoch == u32::MAX {
-            self.stamp.fill(0);
+            for page in self.pages.iter_mut().flatten() {
+                page.iter_mut().for_each(|slot| slot.stamp = 0);
+            }
             self.epoch = 0;
             stats.epoch_resets += 1;
         }
@@ -322,40 +339,60 @@ impl SearchScratch {
         idx as usize * self.stride + elapsed as usize
     }
 
+    /// The slot of a state visited this epoch, if any.
+    #[inline]
+    fn visited(&self, key: usize) -> Option<&Slot> {
+        let page = self.pages[key / PAGE_STATES].as_deref()?;
+        let slot = &page[key % PAGE_STATES];
+        (slot.stamp == self.epoch).then_some(slot)
+    }
+
     /// The settled distance of a state, if visited this epoch.
     #[inline]
     fn get(&self, key: usize) -> Option<f64> {
-        if self.stamp[key] == self.epoch {
-            Some(self.dist[key])
-        } else {
-            None
-        }
+        self.visited(key).map(|slot| slot.dist)
     }
 
+    /// Records a state, allocating its page on first touch (counted in
+    /// [`RouterStats::epoch_resets`] as scratch growth).
     #[inline]
-    fn set(&mut self, key: usize, dist: f64, prev: u32) {
-        self.stamp[key] = self.epoch;
-        self.dist[key] = dist;
-        self.prev[key] = prev;
+    fn set(&mut self, key: usize, dist: f64, prev: u32, stats: &mut RouterStats) {
+        let epoch = self.epoch;
+        let page = self.pages[key / PAGE_STATES].get_or_insert_with(|| {
+            self.allocated += 1;
+            stats.epoch_resets += 1;
+            vec![Slot::default(); PAGE_STATES].into_boxed_slice()
+        });
+        page[key % PAGE_STATES] = Slot { stamp: epoch, prev, dist };
     }
 
     /// Predecessor key of a state visited this epoch (`NO_PREV` for seeds).
     #[inline]
     fn prev_of(&self, key: usize) -> u32 {
-        debug_assert_eq!(self.stamp[key], self.epoch);
-        self.prev[key]
+        self.visited(key).map_or(NO_PREV, |slot| slot.prev)
     }
 
     /// Walks `prev` links from `key` back to a seed, appending nodes, and
     /// returns the seed's packed key. `nodes` arrives holding the endpoint.
     fn reconstruct(&self, index: &MrrgIndex, key: usize, nodes: &mut Vec<RNode>) -> usize {
         let mut cur = key;
-        while self.prev[cur] != NO_PREV {
-            cur = self.prev[cur] as usize;
+        loop {
+            let prev = self.prev_of(cur);
+            if prev == NO_PREV {
+                nodes.reverse();
+                return cur;
+            }
+            cur = prev as usize;
             nodes.push(index.node(RIdx((cur / self.stride) as u32)));
         }
-        nodes.reverse();
-        cur
+    }
+
+    /// Bytes held by the scratch: allocated pages, the page directory and
+    /// the heap's buffer.
+    fn bytes(&self) -> usize {
+        self.allocated * PAGE_STATES * std::mem::size_of::<Slot>()
+            + self.pages.capacity() * std::mem::size_of::<Option<Box<[Slot]>>>()
+            + self.heap.capacity() * std::mem::size_of::<HeapEntry>()
     }
 }
 
@@ -519,10 +556,12 @@ impl CostModel for HopBoundCost {
 
 /// PathFinder router over a dense-indexed MRRG.
 ///
-/// All search and congestion state lives in flat arrays keyed by
-/// [`RIdx`] — `present`/`history` are dense vectors and the Dijkstra
-/// `dist`/`prev` arrays are epoch-stamped scratch reused across `route*`
-/// calls, so the hot path neither hashes nor allocates. The search order,
+/// All search and congestion state is keyed by [`RIdx`] — `present` and
+/// `history` are dense vectors, and the Dijkstra `dist`/`prev` state lives
+/// in epoch-stamped pages allocated where searches reach and reused across
+/// `route*` calls, so the hot path neither hashes nor (once warm)
+/// allocates, and scratch memory follows the searched region rather than
+/// the fabric ([`Router::scratch_bytes`]). The search order,
 /// tie-breaking and results are bit-identical to
 /// [`ReferenceRouter`](crate::ReferenceRouter), the retained hash-map
 /// implementation it is differentially tested against.
@@ -572,6 +611,12 @@ impl Router {
         self.cancel = token;
     }
 
+    /// Whether the armed cancel token (if any) has fired: every further
+    /// search would be refused, so callers can stop issuing them.
+    pub fn is_cancelled(&self) -> bool {
+        self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
+    }
+
     /// The routing-resource graph.
     pub fn mrrg(&self) -> &Mrrg {
         self.index.mrrg()
@@ -590,6 +635,13 @@ impl Router {
     /// Search counters accumulated so far.
     pub fn search_stats(&self) -> RouterStats {
         self.stats
+    }
+
+    /// Bytes of search scratch currently allocated (pages, page directory
+    /// and heap buffer). Pages are only allocated where searches write
+    /// states, so this follows the searched region, not the MRRG size.
+    pub fn scratch_bytes(&self) -> usize {
+        self.scratch.bytes()
     }
 
     /// Returns the accumulated search counters and resets them to zero.
@@ -680,7 +732,7 @@ impl Router {
             }
             let Some(si) = index.index_of(src) else { continue };
             let key = scratch.key(si.0, 0);
-            scratch.set(key, 0.0, NO_PREV);
+            scratch.set(key, 0.0, NO_PREV, stats);
             scratch.heap.push(HeapEntry { cost: 0.0, idx: si.0, elapsed: 0 });
             stats.heap_pushes += 1;
         }
@@ -745,7 +797,7 @@ impl Router {
                 let next_cost = cost + step;
                 let succ_key = scratch.key(succ.0, next_elapsed);
                 if scratch.get(succ_key).is_none_or(|d| next_cost < d) {
-                    scratch.set(succ_key, next_cost, key as u32);
+                    scratch.set(succ_key, next_cost, key as u32, stats);
                     scratch.heap.push(HeapEntry {
                         cost: next_cost,
                         idx: succ.0,
@@ -824,7 +876,7 @@ impl Router {
                 continue; // the sweep proved this source cannot reach the target
             }
             let key = scratch.key(si.0, 0);
-            scratch.set(key, 0.0, NO_PREV);
+            scratch.set(key, 0.0, NO_PREV, stats);
             heap.push(BoundedEntry { f: bound, g: 0.0, idx: si.0, elapsed: 0 });
             stats.heap_pushes += 1;
         }
@@ -889,7 +941,7 @@ impl Router {
                 let next_cost = g + step;
                 let succ_key = scratch.key(succ.0, next_elapsed);
                 if scratch.get(succ_key).is_none_or(|d| next_cost < d) {
-                    scratch.set(succ_key, next_cost, key as u32);
+                    scratch.set(succ_key, next_cost, key as u32, stats);
                     heap.push(BoundedEntry {
                         f: next_cost + bound,
                         g: next_cost,
@@ -944,7 +996,7 @@ impl Router {
             };
             let key = scratch.key(si.0, offset);
             if scratch.get(key).is_none_or(|d| d > 0.0) {
-                scratch.set(key, 0.0, NO_PREV);
+                scratch.set(key, 0.0, NO_PREV, stats);
                 scratch.heap.push(HeapEntry { cost: 0.0, idx: si.0, elapsed: offset });
                 stats.heap_pushes += 1;
             }
@@ -999,7 +1051,7 @@ impl Router {
                 let next_cost = cost + step;
                 let succ_key = scratch.key(succ.0, next_elapsed);
                 if scratch.get(succ_key).is_none_or(|d| next_cost < d) {
-                    scratch.set(succ_key, next_cost, key as u32);
+                    scratch.set(succ_key, next_cost, key as u32, stats);
                     scratch.heap.push(HeapEntry {
                         cost: next_cost,
                         idx: succ.0,
@@ -1049,7 +1101,7 @@ impl Router {
                 continue;
             };
             let key = scratch.key(si.0, 0);
-            scratch.set(key, 0.0, NO_PREV);
+            scratch.set(key, 0.0, NO_PREV, stats);
             scratch.heap.push(HeapEntry { cost: 0.0, idx: si.0, elapsed: 0 });
             stats.heap_pushes += 1;
         }
@@ -1090,7 +1142,7 @@ impl Router {
                 let next_cost = cost + cost_dense(index, present, history, config, succ.0, signal);
                 let succ_key = scratch.key(succ.0, next_elapsed);
                 if scratch.get(succ_key).is_none_or(|d| next_cost < d) {
-                    scratch.set(succ_key, next_cost, key as u32);
+                    scratch.set(succ_key, next_cost, key as u32, stats);
                     scratch.heap.push(HeapEntry {
                         cost: next_cost,
                         idx: succ.0,
@@ -1443,6 +1495,22 @@ mod tests {
     }
 
     #[test]
+    fn scratch_pages_follow_the_searched_region() {
+        // A neighbour route on a 16x16 fabric under the default 64-cycle cap
+        // spans a state space of `nodes × 65`; only the pages the search
+        // writes are allocated.
+        let mut r = router(16, 4);
+        let states = r.index().len() * 65;
+        let dense = states * std::mem::size_of::<Slot>();
+        let p = r.route(SignalId(1), &[fu(5, 5, 0)], fu(5, 6, 1), None).unwrap();
+        assert_eq!(p.elapsed, 1);
+        let pages = r.search_stats().epoch_resets as usize;
+        assert!(pages >= 1);
+        assert!(pages * PAGE_STATES < states / 8, "{pages} pages of {states} states");
+        assert!(r.scratch_bytes() < dense / 8, "{} vs dense {dense}", r.scratch_bytes());
+    }
+
+    #[test]
     fn search_stats_accumulate_and_scratch_is_reused() {
         let mut r = router(2, 4);
         assert_eq!(r.search_stats(), RouterStats::default());
@@ -1451,11 +1519,14 @@ mod tests {
         assert_eq!(first.searches, 1);
         assert!(first.nodes_popped > 0 && first.heap_pushes > 0);
         assert_eq!(first.epoch_resets, 1, "first search allocates the scratch");
-        // Same-sized second search must reuse the arrays: no new reset.
+        let bytes = r.scratch_bytes();
+        assert!(bytes > 0);
+        // Same-sized second search must reuse the pages: no new allocation.
         let _ = r.route_one(SignalId(2), fu(0, 0, 0), fu(1, 1, 2), Some(2));
         let second = r.search_stats();
         assert_eq!(second.searches, 2);
         assert_eq!(second.epoch_resets, 1, "epoch bump must not clear");
+        assert_eq!(r.scratch_bytes(), bytes);
         let taken = r.take_search_stats();
         assert_eq!(taken, second);
         assert_eq!(r.search_stats(), RouterStats::default());

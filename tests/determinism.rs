@@ -3,6 +3,10 @@
 //! every thread count. The parallel walk may differ in wall time and in the
 //! non-deterministic `pipeline` instrumentation, but never in mapping
 //! quality — `HiMapOptions::threads` is a pure performance knob.
+//!
+//! The `#[ignore]`d tests here are wall-time gates (run by the CI
+//! `--ignored` stage): the parallel walk is never slower than sequential,
+//! and a paper-scale map honours its deadline.
 
 use himap_repro::cgra::CgraSpec;
 use himap_repro::core::{HiMap, HiMapError, HiMapOptions, Mapping};
@@ -106,9 +110,14 @@ fn median_wall(kernel: &Kernel, cgra: &CgraSpec, threads: usize) -> std::time::D
     samples[1]
 }
 
+/// Serializes the wall-time tests: run side by side they would time each
+/// other's CPU contention instead of the mapper.
+static WALL_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 #[ignore = "wall-time sensitive; run in the CI bench stage (cargo test -- --ignored)"]
 fn four_threads_not_slower_than_sequential_on_gemm_8x8() {
+    let _serial = WALL_TIME.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     // The scheduler's core promise under *production* options (machine
     // clamp and sequential fallback active): asking for 4 threads is never
     // slower than sequential, and the winner is bit-identical. Medians of 3
@@ -130,6 +139,37 @@ fn four_threads_not_slower_than_sequential_on_gemm_8x8() {
         par.as_secs_f64() * 1e3,
         seq.as_secs_f64() * 1e3,
         limit.as_secs_f64() * 1e3,
+    );
+}
+
+#[test]
+#[ignore = "wall-time sensitive; run in the CI bench stage (cargo test -- --ignored)"]
+fn deadline_holds_through_replication_on_gemm_32x32() {
+    // Paper-scale block (b = c = 32): replication stamps ~131k routes per
+    // round, so the deadline only holds if replication polls the walk's
+    // cancel token. The map must give up with `DeadlineExceeded` within
+    // twice its 250 ms budget.
+    let _serial = WALL_TIME.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let deadline = std::time::Duration::from_millis(250);
+    let options = HiMapOptions {
+        threads: 1,
+        free_extents: vec![32],
+        deadline: Some(deadline),
+        ..HiMapOptions::default()
+    };
+    let start = std::time::Instant::now();
+    let result = HiMap::new(options).map(&suite::gemm(), &CgraSpec::square(32));
+    let elapsed = start.elapsed();
+    assert!(
+        matches!(result, Err(HiMapError::DeadlineExceeded(_))),
+        "expected DeadlineExceeded, got {:?}",
+        result.map(|m| m.stats().iib)
+    );
+    assert!(
+        elapsed <= deadline * 2,
+        "deadline overshot: returned after {:.1} ms (limit {:.1} ms)",
+        elapsed.as_secs_f64() * 1e3,
+        (deadline * 2).as_secs_f64() * 1e3,
     );
 }
 

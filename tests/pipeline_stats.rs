@@ -136,3 +136,21 @@ fn bicg_4x4_golden_counts() {
     };
     assert_eq!(got, want);
 }
+
+#[test]
+fn router_scratch_follows_the_routed_region_not_the_fabric() {
+    // gemm in the paper's b = c = 16 regime. A dense search scratch over the
+    // full 16x16 MRRG at the default 64-cycle elapsed cap would hold about
+    // 103 MiB; paged scratch only holds the states the searches reach.
+    let options = HiMapOptions { threads: 1, free_extents: vec![16], ..HiMapOptions::default() };
+    let (result, stats) = HiMap::new(options)
+        .map_with_stats(&himap_repro::kernels::suite::gemm(), &CgraSpec::square(16));
+    result.expect("gemm maps at b = c = 16");
+    assert!(stats.router_scratch_bytes > 0, "routing ran, so scratch was allocated");
+    assert!(
+        stats.router_scratch_bytes <= 16 << 20,
+        "router scratch {:.1} MiB exceeds 16 MiB",
+        stats.router_scratch_bytes as f64 / (1024.0 * 1024.0)
+    );
+    assert!(stats.summary().contains("router scratch"), "{}", stats.summary());
+}
