@@ -733,12 +733,21 @@ pub fn replicate_and_verify(
         }
     }
     if !conflicted.is_empty() {
+        // Resource bit masks, built only on a conflicting round: membership
+        // tests in the step scan below cost one load, and each
+        // representative-frame node is collected once instead of once per
+        // member route.
+        let mut is_conflicted = ResourceMask::new(&index);
+        for &ri in &conflicted {
+            is_conflicted.insert(ri);
+        }
+        let mut reported = ResourceMask::new(&index);
         let mut rep_frame = Vec::new();
         let mut step_ridx = step_ridx.into_iter();
         for route in &routes {
             let mut shift = None;
             for (&step, ri) in route.steps.iter().zip(step_ridx.by_ref()) {
-                if ri != UNINDEXED && conflicted.binary_search(&ri).is_ok() {
+                if ri != UNINDEXED && is_conflicted.contains(ri) {
                     // Same step in the representative frame.
                     let shift = *shift.get_or_insert_with(|| {
                         let (_, dst) = dfg.graph().edge_endpoints(route.edge);
@@ -746,16 +755,41 @@ pub fn replicate_and_verify(
                         let class = classes.of[dfg.linear_index(dst_iter)] as usize;
                         Shift::between(layout, dfg, dfg.iteration_at(classes.reps[class]), dst_iter)
                     });
-                    rep_frame.push(shift.unapply(step));
+                    let rep_node = shift.unapply(step);
+                    if index.index_of(rep_node).is_none_or(|ri| reported.insert(ri.0)) {
+                        rep_frame.push(rep_node);
+                    }
                 }
             }
         }
-        rep_frame.sort();
+        rep_frame.sort_unstable();
         rep_frame.dedup();
         return Err(RouteError::ReplicaConflicts { count: conflicted.len(), rep_frame });
     }
     check_load_times(dfg, layout, &routes)?;
     Ok(routes)
+}
+
+/// One bit per resource of an index.
+struct ResourceMask(Vec<u64>);
+
+impl ResourceMask {
+    fn new(index: &MrrgIndex) -> Self {
+        ResourceMask(vec![0; index.len().div_ceil(64)])
+    }
+
+    #[inline]
+    fn contains(&self, ri: u32) -> bool {
+        self.0[ri as usize / 64] >> (ri % 64) & 1 == 1
+    }
+
+    /// Sets the bit of `ri`, returning whether it was clear.
+    #[inline]
+    fn insert(&mut self, ri: u32) -> bool {
+        let fresh = !self.contains(ri);
+        self.0[ri as usize / 64] |= 1 << (ri % 64);
+        fresh
+    }
 }
 
 /// The anti-dependence and memory-causality checks over replicated routes.

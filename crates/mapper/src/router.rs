@@ -279,6 +279,9 @@ const NO_PREV: u32 = u32::MAX;
 /// tiny even for a full-fabric state space.
 const PAGE_STATES: usize = 4096;
 
+/// One page of search states.
+type Page = [Slot; PAGE_STATES];
+
 /// One Dijkstra state: valid only while `stamp` equals the search epoch.
 #[derive(Clone, Copy, Debug, Default)]
 struct Slot {
@@ -286,6 +289,14 @@ struct Slot {
     /// Packed predecessor state key; `NO_PREV` for source seeds.
     prev: u32,
     dist: f64,
+}
+
+/// A zeroed page. Out of line, so the search loops that may allocate do
+/// not carry a page-sized stack frame.
+#[cold]
+#[inline(never)]
+fn new_page() -> Box<Page> {
+    Box::new([Slot::default(); PAGE_STATES])
 }
 
 /// Epoch-stamped Dijkstra state reused across `route*` calls.
@@ -302,7 +313,7 @@ struct SearchScratch {
     epoch: u32,
     stride: usize,
     /// Page directory over the key space; `None` until a state is written.
-    pages: Vec<Option<Box<[Slot]>>>,
+    pages: Vec<Option<Box<Page>>>,
     /// Pages allocated so far (the `Some` entries of `pages`).
     allocated: usize,
     heap: BinaryHeap<HeapEntry>,
@@ -353,17 +364,36 @@ impl SearchScratch {
         self.visited(key).map(|slot| slot.dist)
     }
 
-    /// Records a state, allocating its page on first touch (counted in
+    /// The slot of a state, allocating its page on first touch (counted in
     /// [`RouterStats::epoch_resets`] as scratch growth).
     #[inline]
-    fn set(&mut self, key: usize, dist: f64, prev: u32, stats: &mut RouterStats) {
-        let epoch = self.epoch;
+    fn slot_mut(&mut self, key: usize, stats: &mut RouterStats) -> &mut Slot {
         let page = self.pages[key / PAGE_STATES].get_or_insert_with(|| {
             self.allocated += 1;
             stats.epoch_resets += 1;
-            vec![Slot::default(); PAGE_STATES].into_boxed_slice()
+            new_page()
         });
-        page[key % PAGE_STATES] = Slot { stamp: epoch, prev, dist };
+        &mut page[key % PAGE_STATES]
+    }
+
+    /// Records a state unconditionally.
+    #[inline]
+    fn set(&mut self, key: usize, dist: f64, prev: u32, stats: &mut RouterStats) {
+        let epoch = self.epoch;
+        *self.slot_mut(key, stats) = Slot { stamp: epoch, prev, dist };
+    }
+
+    /// Records a state if it is unvisited this epoch or `dist` improves on
+    /// it, returning whether it did — one slot lookup per relaxation.
+    #[inline]
+    fn relax(&mut self, key: usize, dist: f64, prev: u32, stats: &mut RouterStats) -> bool {
+        let epoch = self.epoch;
+        let slot = self.slot_mut(key, stats);
+        if slot.stamp == epoch && !(dist < slot.dist) {
+            return false;
+        }
+        *slot = Slot { stamp: epoch, prev, dist };
+        true
     }
 
     /// Predecessor key of a state visited this epoch (`NO_PREV` for seeds).
@@ -391,7 +421,7 @@ impl SearchScratch {
     /// the heap's buffer.
     fn bytes(&self) -> usize {
         self.allocated * PAGE_STATES * std::mem::size_of::<Slot>()
-            + self.pages.capacity() * std::mem::size_of::<Option<Box<[Slot]>>>()
+            + self.pages.capacity() * std::mem::size_of::<Option<Box<Page>>>()
             + self.heap.capacity() * std::mem::size_of::<HeapEntry>()
     }
 }
@@ -796,8 +826,7 @@ impl Router {
                 };
                 let next_cost = cost + step;
                 let succ_key = scratch.key(succ.0, next_elapsed);
-                if scratch.get(succ_key).is_none_or(|d| next_cost < d) {
-                    scratch.set(succ_key, next_cost, key as u32, stats);
+                if scratch.relax(succ_key, next_cost, key as u32, stats) {
                     scratch.heap.push(HeapEntry {
                         cost: next_cost,
                         idx: succ.0,
@@ -940,8 +969,7 @@ impl Router {
                 let step = if is_target { 0.0 } else { model.enter_cost(&ctx, succ.0, signal) };
                 let next_cost = g + step;
                 let succ_key = scratch.key(succ.0, next_elapsed);
-                if scratch.get(succ_key).is_none_or(|d| next_cost < d) {
-                    scratch.set(succ_key, next_cost, key as u32, stats);
+                if scratch.relax(succ_key, next_cost, key as u32, stats) {
                     heap.push(BoundedEntry {
                         f: next_cost + bound,
                         g: next_cost,
@@ -995,8 +1023,7 @@ impl Router {
                 continue;
             };
             let key = scratch.key(si.0, offset);
-            if scratch.get(key).is_none_or(|d| d > 0.0) {
-                scratch.set(key, 0.0, NO_PREV, stats);
+            if scratch.relax(key, 0.0, NO_PREV, stats) {
                 scratch.heap.push(HeapEntry { cost: 0.0, idx: si.0, elapsed: offset });
                 stats.heap_pushes += 1;
             }
@@ -1050,8 +1077,7 @@ impl Router {
                 };
                 let next_cost = cost + step;
                 let succ_key = scratch.key(succ.0, next_elapsed);
-                if scratch.get(succ_key).is_none_or(|d| next_cost < d) {
-                    scratch.set(succ_key, next_cost, key as u32, stats);
+                if scratch.relax(succ_key, next_cost, key as u32, stats) {
                     scratch.heap.push(HeapEntry {
                         cost: next_cost,
                         idx: succ.0,
@@ -1141,8 +1167,7 @@ impl Router {
                 }
                 let next_cost = cost + cost_dense(index, present, history, config, succ.0, signal);
                 let succ_key = scratch.key(succ.0, next_elapsed);
-                if scratch.get(succ_key).is_none_or(|d| next_cost < d) {
-                    scratch.set(succ_key, next_cost, key as u32, stats);
+                if scratch.relax(succ_key, next_cost, key as u32, stats) {
                     scratch.heap.push(HeapEntry {
                         cost: next_cost,
                         idx: succ.0,
