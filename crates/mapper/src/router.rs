@@ -389,11 +389,11 @@ impl SearchScratch {
     fn relax(&mut self, key: usize, dist: f64, prev: u32, stats: &mut RouterStats) -> bool {
         let epoch = self.epoch;
         let slot = self.slot_mut(key, stats);
-        if slot.stamp == epoch && !(dist < slot.dist) {
-            return false;
+        let improves = slot.stamp != epoch || dist < slot.dist;
+        if improves {
+            *slot = Slot { stamp: epoch, prev, dist };
         }
-        *slot = Slot { stamp: epoch, prev, dist };
-        true
+        improves
     }
 
     /// Predecessor key of a state visited this epoch (`NO_PREV` for seeds).
