@@ -445,7 +445,8 @@ fn edge_source(
                 dfg.graph().in_edges(src).find(|ie| dfg.graph()[ie.id].signal(ie.src) == root)?;
             let (_, desc) = descriptor(dfg, layout, carrier.id, src_iter);
             let pattern = patterns[class].routes.get(&desc)?;
-            let rep_iter = dfg.iteration_at(classes.reps[class]);
+            let shift =
+                Shift::between(layout, dfg, dfg.iteration_at(classes.reps[class]), src_iter);
             // A translated tap landing on a faulted resource cannot carry
             // the signal there; drop it. (Replication later rejects any
             // pattern whose member translation crosses a fault, so this
@@ -453,7 +454,7 @@ fn edge_source(
             let spec = layout.vsa().spec();
             let net: Vec<(RNode, i64)> = pattern
                 .iter()
-                .map(|&step| translate_step(layout, dfg, rep_iter, src_iter, step))
+                .map(|&step| shift.apply(step))
                 .filter(|&(n, _)| !spec.faults.masks(spec, n))
                 .collect();
             if net.is_empty() {
@@ -463,18 +464,6 @@ fn edge_source(
         }
         (EdgeKind::Flow, NodeKind::Route) => None,
     }
-}
-
-/// Translates one pattern step from a class representative's frame to
-/// another member's frame, returning the concrete node and absolute time.
-fn translate_step(
-    layout: &Layout,
-    dfg: &Dfg,
-    rep_iter: Iter4,
-    member_iter: Iter4,
-    step: (PeId, RKind, i64),
-) -> (RNode, i64) {
-    Shift::between(layout, dfg, rep_iter, member_iter).apply(step)
 }
 
 /// The space-time translation from a class representative's frame to one
@@ -1006,9 +995,9 @@ mod tests {
             let macro_start = layout.position(dfg, rep_iter).t as i64 * layout.sub().t as i64;
             for cycle in 0..layout.iib() as i64 {
                 let step = (pe, RKind::RegWr, cycle - macro_start);
-                let free = members
-                    .iter()
-                    .all(|&m| !claimed.contains(&translate_step(layout, dfg, rep_iter, m, step).0));
+                let free = members.iter().all(|&m| {
+                    !claimed.contains(&Shift::between(layout, dfg, rep_iter, m).apply(step).0)
+                });
                 if free {
                     return (class, step);
                 }
@@ -1030,7 +1019,7 @@ mod tests {
         let (mut design, routes) = replicated_design(&dfg, &layout, &classes);
         let (class, step) = free_regwr(&dfg, &layout, &classes, &routes);
         let rep_iter = dfg.iteration_at(classes.reps[class]);
-        let node = translate_step(&layout, &dfg, rep_iter, rep_iter, step).0;
+        let node = Shift::between(&layout, &dfg, rep_iter, rep_iter).apply(step).0;
         let index = MrrgIndex::shared(layout.vsa().spec().clone(), layout.iib());
         assert_eq!(index.capacity(index.index_of(node).expect("indexed")), 2);
         // Signal A claims the resource twice (two steps of one route), signal
@@ -1053,7 +1042,7 @@ mod tests {
         let (mut design, routes) = replicated_design(&dfg, &layout, &classes);
         let (class, step) = free_regwr(&dfg, &layout, &classes, &routes);
         let rep_iter = dfg.iteration_at(classes.reps[class]);
-        let node = translate_step(&layout, &dfg, rep_iter, rep_iter, step).0;
+        let node = Shift::between(&layout, &dfg, rep_iter, rep_iter).apply(step).0;
         let mut seen: Vec<NodeId> = Vec::new();
         for (desc, root) in rep_in_edges(&dfg, &layout, &classes, class) {
             if seen.len() < 3 && !seen.contains(&root) {

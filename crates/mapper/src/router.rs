@@ -314,8 +314,6 @@ struct SearchScratch {
     stride: usize,
     /// Page directory over the key space; `None` until a state is written.
     pages: Vec<Option<Box<Page>>>,
-    /// Pages allocated so far (the `Some` entries of `pages`).
-    allocated: usize,
     heap: BinaryHeap<HeapEntry>,
 }
 
@@ -369,7 +367,6 @@ impl SearchScratch {
     #[inline]
     fn slot_mut(&mut self, key: usize, stats: &mut RouterStats) -> &mut Slot {
         let page = self.pages[key / PAGE_STATES].get_or_insert_with(|| {
-            self.allocated += 1;
             stats.epoch_resets += 1;
             new_page()
         });
@@ -420,7 +417,7 @@ impl SearchScratch {
     /// Bytes held by the scratch: allocated pages, the page directory and
     /// the heap's buffer.
     fn bytes(&self) -> usize {
-        self.allocated * PAGE_STATES * std::mem::size_of::<Slot>()
+        self.pages.iter().flatten().count() * std::mem::size_of::<Page>()
             + self.pages.capacity() * std::mem::size_of::<Option<Box<Page>>>()
             + self.heap.capacity() * std::mem::size_of::<HeapEntry>()
     }
