@@ -714,22 +714,20 @@ pub fn replicate_and_verify(
     // penalize them in the next negotiation round.
     claims.sort_unstable();
     claims.dedup();
-    let mut conflicted: Vec<u32> = Vec::new();
+    // Resource bit masks are built only on a conflicting round: membership
+    // tests in the step scan below cost one load, and each
+    // representative-frame node is collected once instead of once per
+    // member route.
+    let mut conflicted: Option<ResourceMask> = None;
+    let mut conflict_count = 0;
     for run in claims.chunk_by(|a, b| a >> 32 == b >> 32) {
         let ri = RIdx((run[0] >> 32) as u32);
         if run.len() > index.capacity(ri) {
-            conflicted.push(ri.0);
+            conflicted.get_or_insert_with(|| ResourceMask::new(&index)).insert(ri.0);
+            conflict_count += 1;
         }
     }
-    if !conflicted.is_empty() {
-        // Resource bit masks, built only on a conflicting round: membership
-        // tests in the step scan below cost one load, and each
-        // representative-frame node is collected once instead of once per
-        // member route.
-        let mut is_conflicted = ResourceMask::new(&index);
-        for &ri in &conflicted {
-            is_conflicted.insert(ri);
-        }
+    if let Some(is_conflicted) = conflicted {
         let mut reported = ResourceMask::new(&index);
         let mut rep_frame = Vec::new();
         let mut step_ridx = step_ridx.into_iter();
@@ -753,7 +751,7 @@ pub fn replicate_and_verify(
         }
         rep_frame.sort_unstable();
         rep_frame.dedup();
-        return Err(RouteError::ReplicaConflicts { count: conflicted.len(), rep_frame });
+        return Err(RouteError::ReplicaConflicts { count: conflict_count, rep_frame });
     }
     check_load_times(dfg, layout, &routes)?;
     Ok(routes)
