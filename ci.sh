@@ -133,6 +133,17 @@ stage "himap-analyze heterogeneous clean" \
   bash -c 'cargo run -q -p himap-analyze --release --bin himap-analyze -- \
     gemm --size 4 --only-mul-pes "0,0;0,3;3,0;3,3" --mem-edge-only > /dev/null'
 
+# Bit-identical mappings: the traced perfbench run over the paper's Fig. 8
+# points (block = fabric) compares every point's mapping digest with
+# perfbench/golden.txt. The stage fails unless the run exits 0 (every
+# mapping compiled, verified and simulated, counters repeatable) and
+# reports zero digest mismatches.
+stage "perfbench golden digests (fig8_paper)" \
+  bash -c 'out=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+      --workload fig8_paper --seconds 1 --trace 1) || exit 1
+    printf "%s\n" "$out" | grep -E "^digest\.golden_mismatches "
+    printf "%s\n" "$out" | grep -Eq "^digest\.golden_mismatches +0 count$"'
+
 # Consolidated benchmark gate: one manifest (BENCH.json, assembled by
 # `bench_summary --gate-baseline`), one verdict table. Covers the scaling
 # rows (25 % + 2 ms), the portfolio races (double tolerance — cancellation

@@ -36,7 +36,7 @@ use himap_systolic::{search_counted, SearchConfig};
 use crate::layout::Layout;
 use crate::mapping::{Mapping, MappingStats};
 use crate::options::{Attempt, HiMapError, HiMapOptions, MapReport};
-use crate::route::{replicate_and_verify, route_representatives_pooled};
+use crate::route::{route_representatives_pooled, ReplicaPlan};
 use crate::stats::{PipelineStats, Stage, StatsCollector, WorkerStats};
 use crate::submap::{map_idfg_counted, SubMapping};
 use crate::unique::classify;
@@ -881,11 +881,17 @@ fn evaluate(
             return Verdict::Abandoned;
         }
         StatsCollector::add(&stats.layouts_tried, 1);
-        let layout = Layout::new(&dfg, vsa.clone(), sub.clone(), st);
-        let classes = classify(&dfg, &layout);
+        let (layout, classes) = stats.timed(Stage::Classify, || {
+            let layout = Layout::new(&dfg, vsa.clone(), sub.clone(), st);
+            let classes = classify(&dfg, &layout);
+            (layout, classes)
+        });
         // Replication-aware negotiation: replica conflicts feed back into
-        // representative routing as pre-seeded history costs.
+        // representative routing as pre-seeded history costs. The layout's
+        // replication plan is derived on its first replication round and
+        // reused by the later ones.
         let mut seed_history: Vec<himap_cgra::RNode> = Vec::new();
+        let mut plan = None;
         let mut routed = None;
         for _attempt in 0..ctx.options.replication_feedback_rounds {
             if abandon() {
@@ -927,9 +933,16 @@ fn evaluate(
                 }
             };
             StatsCollector::add(&stats.replication_rounds, 1);
-            match stats.timed(Stage::Replicate, || {
-                replicate_and_verify(&dfg, &layout, &classes, &design, cancel)
-            }) {
+            let plan = match plan {
+                Some(ref plan) => plan,
+                None => match stats
+                    .timed(Stage::Replicate, || ReplicaPlan::new(&dfg, &layout, &classes, cancel))
+                {
+                    Ok(built) => plan.insert(built),
+                    Err(_) => return Verdict::Abandoned,
+                },
+            };
+            match stats.timed(Stage::Replicate, || plan.replicate(&design, cancel)) {
                 Ok(routes) => {
                     routed = Some(routes);
                     break;
@@ -942,30 +955,34 @@ fn evaluate(
                 Err(_) => break,
             }
         }
+        // The plan is per layout; free it before materialising the mapping.
+        drop(plan);
         let Some(routes) = routed else {
             route_failed = true;
             continue;
         };
         // Success: materialize the mapping artifact.
-        let mut op_slots = HashMap::new();
-        for (node, w) in dfg.graph().nodes() {
-            if let NodeKind::Op { stmt, op, .. } = w.kind {
-                op_slots.insert(node, layout.op_slot(&dfg, w.iter, stmt, op));
+        let mapping = stats.timed(Stage::Materialise, || {
+            let mut op_slots = HashMap::new();
+            for (node, w) in dfg.graph().nodes() {
+                if let NodeKind::Op { stmt, op, .. } = w.kind {
+                    op_slots.insert(node, layout.op_slot(&dfg, w.iter, stmt, op));
+                }
             }
-        }
-        let iib = layout.iib();
-        let mapping_stats = MappingStats {
-            sub_shape: (sub.s1, sub.s2, sub.t),
-            unique_iterations: classes.count(),
-            iterations_per_spe: layout.iterations_per_spe(),
-            iib,
-            max_config_slots: 0, // filled from the config image below
-            block: block.clone(),
-            pipeline: PipelineStats::default(), // snapshot attached by the caller
-        };
-        let mut mapping = Mapping::new(ctx.cgra.clone(), dfg, op_slots, routes, mapping_stats);
-        let image = crate::config::ConfigImage::from_mapping(&mapping);
-        mapping.set_max_config_slots(image.max_unique_instrs());
+            let mapping_stats = MappingStats {
+                sub_shape: (sub.s1, sub.s2, sub.t),
+                unique_iterations: classes.count(),
+                iterations_per_spe: layout.iterations_per_spe(),
+                iib: layout.iib(),
+                max_config_slots: 0, // filled from the config image below
+                block: block.clone(),
+                pipeline: PipelineStats::default(), // snapshot attached by the caller
+            };
+            let mut mapping = Mapping::new(ctx.cgra.clone(), dfg, op_slots, routes, mapping_stats);
+            let image = crate::config::ConfigImage::from_mapping(&mapping);
+            mapping.set_max_config_slots(image.max_unique_instrs());
+            mapping
+        });
         return Verdict::Mapped(Box::new(mapping));
     }
     debug_assert!(route_failed, "ranked searches are non-empty here");

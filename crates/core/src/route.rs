@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use himap_cgra::{Mrrg, MrrgIndex, PeId, RIdx, RKind, RNode};
@@ -176,9 +177,9 @@ pub fn route_representatives_counted(
 ///
 /// The router must be indexed for the layout's `(spec, iib)`. It is
 /// [`Router::reset`] here, so every negotiation starts from clean
-/// present/history state exactly as a freshly built router would, while the
-/// dense congestion vectors and the epoch-stamped search scratch are reused
-/// allocation-free. `index_build` is the caller's index-acquisition time,
+/// present/history state exactly as a freshly built router would; the reset
+/// touches only the resources the previous negotiation wrote, and the
+/// epoch-stamped search scratch is reused. `index_build` is the caller's index-acquisition time,
 /// passed through into the counters. Any armed
 /// [`CancelToken`](himap_mapper::CancelToken) stays armed: a negotiation for
 /// an abandoned candidate collapses within a few heap pops.
@@ -251,11 +252,12 @@ fn negotiate(
     for round in 0..options.pathfinder_rounds {
         match route_round(dfg, layout, classes, &edges, router) {
             Ok(mut result) => {
-                if router.oversubscribed().is_empty() {
+                let over = router.oversubscribed().len();
+                if over == 0 {
                     result.rounds = round + 1;
                     return Ok(result);
                 }
-                last_err = RouteError::Congested(router.oversubscribed().len());
+                last_err = RouteError::Congested(over);
                 router.bump_history();
                 clear_routes(dfg, layout, classes, router);
             }
@@ -299,7 +301,6 @@ fn route_round(
     router: &mut Router,
 ) -> Result<RoutedDesign, RouteError> {
     let t = layout.sub().t as i64;
-    let iib = layout.iib() as i64;
     // The routed net of (consumer node, root signal): every resource the
     // signal exists on, with absolute times — later chain links may tap any
     // of them.
@@ -376,7 +377,6 @@ fn route_round(
             return Err(RouteError::ForwardOrdering);
         }
     }
-    let _ = iib;
     Ok(RoutedDesign { patterns, rounds: 0 })
 }
 
@@ -607,154 +607,275 @@ pub struct FullRoute {
 /// Marks a replicated step whose node is not in the MRRG.
 const UNINDEXED: u32 = u32::MAX;
 
-/// Edges stamped between two polls of the replication cancel token: a few
-/// microseconds of work, so a fired deadline stops replication promptly
-/// while the poll stays invisible in the profile.
+/// Edges planned or stamped between two polls of the replication cancel
+/// token: a few microseconds of work, so a fired deadline stops replication
+/// promptly while the poll stays invisible in the profile.
 const CANCEL_POLL_EDGES: usize = 1024;
 
-/// Replicates all class patterns over every iteration, verifying resource
-/// capacities and memory causality.
-///
-/// On success returns the complete per-edge routing. `cancel` (when
-/// present) is polled every [`CANCEL_POLL_EDGES`] edges while stamping;
-/// once it fires, replication stops with [`RouteError::Cancelled`].
-pub fn replicate_and_verify(
-    dfg: &Dfg,
-    layout: &Layout,
-    classes: &Classes,
-    design: &RoutedDesign,
-    cancel: Option<&CancelToken>,
-) -> Result<Vec<FullRoute>, RouteError> {
-    let iib = layout.iib();
-    let spec = layout.vsa().spec();
-    // The shared index is the same build the representative negotiation
-    // used, so replication adds no per-call graph construction.
-    let index = MrrgIndex::shared(spec.clone(), iib);
-    // Every resource claim as `(dense id << 32) | signal`: op FU slots claim
-    // with their (unique) node id, route steps with their root signal.
-    // Sorting and deduplicating the flat list groups claims by resource, so
-    // occupancy costs memory in proportion to the stamped steps, not to the
-    // fabric.
-    let mut claims: Vec<u64> = Vec::new();
-    let claim = |ri: RIdx, signal: u32| (u64::from(ri.0) << 32) | u64::from(signal);
-    let mut routes = Vec::with_capacity(dfg.graph().edge_count());
-    // Dense id of every route step in stamping order (`UNINDEXED` off the
-    // MRRG), so the conflict pass below needs no second index lookup.
-    let mut step_ridx: Vec<u32> = Vec::new();
-    // Steps (in the representative frame) whose translations land on
-    // faulted or capability-illegal resources; reported together so the
-    // feedback loop steers the next negotiation round around them.
-    let mut faulted_steps: Vec<RNode> = Vec::new();
-    // Stamp every op's FU slot. A member translation may land an op on a PE
-    // that computes but lacks the op's capability class (heterogeneous
-    // fabrics) — that invalidates the pattern exactly like a faulted step.
-    for (node, w) in dfg.graph().nodes() {
-        if let NodeKind::Op { stmt, op, kind } = w.kind {
-            let slot = layout.op_slot(dfg, w.iter, stmt, op);
-            let fu = RNode::new(slot.pe, slot.cycle_mod, RKind::Fu);
-            if !spec.faults.supports_op(slot.pe, kind) {
-                let class = classes.of[dfg.linear_index(w.iter)] as usize;
-                let rep_iter = dfg.iteration_at(classes.reps[class]);
-                let rep_slot = layout.op_slot(dfg, rep_iter, stmt, op);
-                faulted_steps.push(RNode::new(rep_slot.pe, rep_slot.cycle_mod, RKind::Fu));
-                continue;
-            }
-            if let Some(ri) = index.index_of(fu) {
-                claims.push(claim(ri, node.index() as u32));
-            } else {
-                debug_assert!(false, "op slot outside the array at {fu:?}");
-            }
-        }
+/// Polls `cancel` once every [`CANCEL_POLL_EDGES`] edges (at edge `n`).
+fn poll_cancelled(n: usize, cancel: Option<&CancelToken>) -> Result<(), RouteError> {
+    if n.is_multiple_of(CANCEL_POLL_EDGES) && cancel.is_some_and(CancelToken::is_cancelled) {
+        return Err(RouteError::Cancelled);
     }
-    // Stamp every in-edge's translated route. A step whose translation
-    // lands on a faulted resource invalidates the whole pattern for that
-    // member: collect the offending steps in the representative frame so
-    // the feedback loop steers the next negotiation round around them.
-    for (n, e) in dfg.graph().edge_ids().enumerate() {
-        if n % CANCEL_POLL_EDGES == 0 && cancel.is_some_and(CancelToken::is_cancelled) {
-            return Err(RouteError::Cancelled);
-        }
-        let (src, dst) = dfg.graph().edge_endpoints(e);
-        let dst_iter = dfg.graph()[dst].iter;
-        let class = classes.of[dfg.linear_index(dst_iter)] as usize;
-        let (_, desc) = descriptor(dfg, layout, e, dst_iter);
-        let pattern =
-            design.patterns[class].routes.get(&desc).ok_or(RouteError::MissingPattern { class })?;
-        let shift = Shift::between(layout, dfg, dfg.iteration_at(classes.reps[class]), dst_iter);
-        let root = dfg.graph()[e].signal(src).index() as u32;
-        let mut steps = Vec::with_capacity(pattern.len());
-        for (i, &step) in pattern.iter().enumerate() {
-            let (node, abs) = shift.apply(step);
-            debug_assert!(spec.contains(node.pe), "translated route leaves the array at {node:?}");
-            let ri = index.index_of(node);
-            step_ridx.push(ri.map_or(UNINDEXED, |ri| ri.0));
-            let endpoint = i == 0 || i == pattern.len() - 1;
-            if !(endpoint && node.kind == RKind::Fu) {
-                if let Some(ri) = ri {
-                    claims.push(claim(ri, root));
-                } else if spec.faults.masks(spec, node) {
-                    faulted_steps.push(shift.unapply((node, abs)));
+    Ok(())
+}
+
+/// A resource claim as `(dense id << 32) | signal`. Sorting and
+/// deduplicating a flat claim list groups claims by resource, so occupancy
+/// costs memory in proportion to the stamped steps, not to the fabric.
+#[inline]
+fn claim(ri: RIdx, signal: u32) -> u64 {
+    (u64::from(ri.0) << 32) | u64::from(signal)
+}
+
+/// One DFG edge of a [`ReplicaPlan`].
+#[derive(Clone, Copy, Debug)]
+struct PlannedEdge {
+    /// Dense key of the edge's `(class, descriptor)`: which routed pattern
+    /// implements it.
+    key: u32,
+    /// The root signal the route carries.
+    root: u32,
+    /// Translation from the class representative's frame to the edge's
+    /// consumer iteration.
+    shift: Shift,
+}
+
+/// The design-independent half of replicating one layout.
+///
+/// Replication stamps every class pattern over every iteration of the
+/// block. Apart from the patterns themselves, everything it needs depends
+/// only on `(dfg, layout, classes)`, which stay fixed across a layout's
+/// replication feedback rounds: the op FU-slot claims, the ops whose
+/// member translation lands on a PE lacking their capability, and per edge
+/// the pattern it reuses, its translation and its root signal. The plan
+/// derives them once per layout; each [`ReplicaPlan::replicate`] round
+/// resolves the few distinct pattern keys against the new design and
+/// stamps, with no per-edge hashing or allocation.
+pub struct ReplicaPlan<'a> {
+    dfg: &'a Dfg,
+    layout: &'a Layout,
+    /// The shared index the representative negotiation used.
+    index: Arc<MrrgIndex>,
+    /// Every op FU-slot claim (with the op's unique node id), sorted.
+    op_claims: Vec<u64>,
+    /// Representative-frame FU slots of ops that some member translation
+    /// lands on a PE lacking the op's capability class.
+    op_faults: Vec<RNode>,
+    /// The distinct `(class, descriptor)` pairs, numbered in order of first
+    /// use in edge order.
+    keys: Vec<(usize, Descriptor)>,
+    /// One entry per DFG edge, in edge order.
+    edges: Vec<PlannedEdge>,
+}
+
+impl<'a> ReplicaPlan<'a> {
+    /// Derives the replication plan of a layout. `cancel` (when present) is
+    /// polled every [`CANCEL_POLL_EDGES`] edges; once it fires the build
+    /// stops with [`RouteError::Cancelled`].
+    pub fn new(
+        dfg: &'a Dfg,
+        layout: &'a Layout,
+        classes: &Classes,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Self, RouteError> {
+        let spec = layout.vsa().spec();
+        let index = MrrgIndex::shared(spec.clone(), layout.iib());
+        let mut op_claims = Vec::new();
+        let mut op_faults = Vec::new();
+        // A member translation may land an op on a PE that computes but
+        // lacks the op's capability class (heterogeneous fabrics) — that
+        // invalidates the pattern exactly like a faulted step.
+        for (node, w) in dfg.graph().nodes() {
+            if let NodeKind::Op { stmt, op, kind } = w.kind {
+                let slot = layout.op_slot(dfg, w.iter, stmt, op);
+                let fu = RNode::new(slot.pe, slot.cycle_mod, RKind::Fu);
+                if !spec.faults.supports_op(slot.pe, kind) {
+                    let class = classes.of[dfg.linear_index(w.iter)] as usize;
+                    let rep_iter = dfg.iteration_at(classes.reps[class]);
+                    let rep_slot = layout.op_slot(dfg, rep_iter, stmt, op);
+                    op_faults.push(RNode::new(rep_slot.pe, rep_slot.cycle_mod, RKind::Fu));
+                    continue;
+                }
+                if let Some(ri) = index.index_of(fu) {
+                    op_claims.push(claim(ri, node.index() as u32));
+                } else {
+                    debug_assert!(false, "op slot outside the array at {fu:?}");
                 }
             }
-            steps.push((node, abs));
         }
-        routes.push(FullRoute { edge: e, steps });
-    }
-    if !faulted_steps.is_empty() {
-        faulted_steps.sort();
-        faulted_steps.dedup();
-        return Err(RouteError::ReplicaConflicts {
-            count: faulted_steps.len(),
-            rep_frame: faulted_steps,
-        });
-    }
-    // Capacity check: after dedup each run of equal dense ids lists the
-    // resource's distinct signals. On conflicts, translate the offending
-    // steps back into their representatives' frames so the caller can
-    // penalize them in the next negotiation round.
-    claims.sort_unstable();
-    claims.dedup();
-    // Resource bit masks are built only on a conflicting round: membership
-    // tests in the step scan below cost one load, and each
-    // representative-frame node is collected once instead of once per
-    // member route.
-    let mut conflicted: Option<ResourceMask> = None;
-    let mut conflict_count = 0;
-    for run in claims.chunk_by(|a, b| a >> 32 == b >> 32) {
-        let ri = RIdx((run[0] >> 32) as u32);
-        if run.len() > index.capacity(ri) {
-            conflicted.get_or_insert_with(|| ResourceMask::new(&index)).insert(ri.0);
-            conflict_count += 1;
+        op_claims.sort_unstable();
+        let mut key_of: HashMap<(usize, Descriptor), u32> = HashMap::new();
+        let mut keys = Vec::new();
+        let mut edges = Vec::with_capacity(dfg.graph().edge_count());
+        for (n, e) in dfg.graph().edge_ids().enumerate() {
+            poll_cancelled(n, cancel)?;
+            let (src, dst) = dfg.graph().edge_endpoints(e);
+            let dst_iter = dfg.graph()[dst].iter;
+            let class = classes.of[dfg.linear_index(dst_iter)] as usize;
+            let (_, desc) = descriptor(dfg, layout, e, dst_iter);
+            let key = *key_of.entry((class, desc)).or_insert_with(|| {
+                keys.push((class, desc));
+                (keys.len() - 1) as u32
+            });
+            edges.push(PlannedEdge {
+                key,
+                root: dfg.graph()[e].signal(src).index() as u32,
+                shift: Shift::between(layout, dfg, dfg.iteration_at(classes.reps[class]), dst_iter),
+            });
         }
+        Ok(ReplicaPlan { dfg, layout, index, op_claims, op_faults, keys, edges })
     }
-    if let Some(is_conflicted) = conflicted {
-        let mut reported = ResourceMask::new(&index);
-        let mut rep_frame = Vec::new();
-        let mut step_ridx = step_ridx.into_iter();
-        for route in &routes {
-            let mut shift = None;
-            for (&step, ri) in route.steps.iter().zip(step_ridx.by_ref()) {
-                if ri != UNINDEXED && is_conflicted.contains(ri) {
-                    // Same step in the representative frame.
-                    let shift = *shift.get_or_insert_with(|| {
-                        let (_, dst) = dfg.graph().edge_endpoints(route.edge);
-                        let dst_iter = dfg.graph()[dst].iter;
-                        let class = classes.of[dfg.linear_index(dst_iter)] as usize;
-                        Shift::between(layout, dfg, dfg.iteration_at(classes.reps[class]), dst_iter)
-                    });
-                    let rep_node = shift.unapply(step);
-                    if index.index_of(rep_node).is_none_or(|ri| reported.insert(ri.0)) {
-                        rep_frame.push(rep_node);
+
+    /// Replicates the design's class patterns over every iteration,
+    /// verifying resource capacities and memory causality.
+    ///
+    /// On success returns the complete per-edge routing, in edge order. A
+    /// class missing the pattern of one of its edges fails with
+    /// [`RouteError::MissingPattern`] for the first such edge. `cancel`
+    /// (when present) is polled every [`CANCEL_POLL_EDGES`] edges while
+    /// stamping; once it fires, replication stops with
+    /// [`RouteError::Cancelled`].
+    pub fn replicate(
+        &self,
+        design: &RoutedDesign,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Vec<FullRoute>, RouteError> {
+        // Keys are numbered in order of first use, so the first missing key
+        // is the first edge's.
+        let patterns = self
+            .keys
+            .iter()
+            .map(|(class, desc)| {
+                design.patterns[*class]
+                    .routes
+                    .get(desc)
+                    .ok_or(RouteError::MissingPattern { class: *class })
+            })
+            .collect::<Result<Vec<&Pattern>, _>>()?;
+        self.check_claims(&patterns, cancel)?;
+        let routes: Vec<FullRoute> = self
+            .dfg
+            .graph()
+            .edge_ids()
+            .zip(&self.edges)
+            .map(|(e, edge)| FullRoute {
+                edge: e,
+                steps: patterns[edge.key as usize].iter().map(|&s| edge.shift.apply(s)).collect(),
+            })
+            .collect();
+        check_load_times(self.dfg, self.layout, &routes)?;
+        Ok(routes)
+    }
+
+    /// Stamps every edge's translated pattern as resource claims and checks
+    /// them: no step on a faulted resource, no resource over capacity. The
+    /// claim list is freed before the caller builds the routes.
+    fn check_claims(
+        &self,
+        patterns: &[&Pattern],
+        cancel: Option<&CancelToken>,
+    ) -> Result<(), RouteError> {
+        let spec = self.layout.vsa().spec();
+        let index = &*self.index;
+        let steps: usize = self.edges.iter().map(|edge| patterns[edge.key as usize].len()).sum();
+        // Op slots claim with their (unique) node id, route steps with their
+        // root signal.
+        let mut claims = Vec::with_capacity(self.op_claims.len() + steps);
+        claims.extend_from_slice(&self.op_claims);
+        // Dense id of every route step in stamping order (`UNINDEXED` off the
+        // MRRG), so the conflict pass below needs no second index lookup.
+        let mut step_ridx: Vec<u32> = Vec::with_capacity(steps);
+        // Steps (in the representative frame) whose translations land on
+        // faulted or capability-illegal resources; reported together so the
+        // feedback loop steers the next negotiation round around them.
+        let mut faulted_steps = self.op_faults.clone();
+        for (n, edge) in self.edges.iter().enumerate() {
+            poll_cancelled(n, cancel)?;
+            let pattern = patterns[edge.key as usize];
+            for (i, &step) in pattern.iter().enumerate() {
+                let (node, abs) = edge.shift.apply(step);
+                debug_assert!(
+                    spec.contains(node.pe),
+                    "translated route leaves the array at {node:?}"
+                );
+                let ri = index.index_of(node);
+                step_ridx.push(ri.map_or(UNINDEXED, |ri| ri.0));
+                let endpoint = i == 0 || i == pattern.len() - 1;
+                if !(endpoint && node.kind == RKind::Fu) {
+                    if let Some(ri) = ri {
+                        claims.push(claim(ri, edge.root));
+                    } else if spec.faults.masks(spec, node) {
+                        faulted_steps.push(edge.shift.unapply((node, abs)));
                     }
+                }
+            }
+        }
+        if !faulted_steps.is_empty() {
+            faulted_steps.sort();
+            faulted_steps.dedup();
+            return Err(RouteError::ReplicaConflicts {
+                count: faulted_steps.len(),
+                rep_frame: faulted_steps,
+            });
+        }
+        // Capacity check: after dedup each run of equal dense ids lists the
+        // resource's distinct signals.
+        claims.sort_unstable();
+        claims.dedup();
+        // The resource bit mask is built only on a conflicting round, so
+        // membership tests in the step scan below cost one load.
+        let mut conflicted: Option<ResourceMask> = None;
+        let mut conflict_count = 0;
+        for run in claims.chunk_by(|a, b| a >> 32 == b >> 32) {
+            let ri = RIdx((run[0] >> 32) as u32);
+            if run.len() > index.capacity(ri) {
+                conflicted.get_or_insert_with(|| ResourceMask::new(index)).insert(ri.0);
+                conflict_count += 1;
+            }
+        }
+        match conflicted {
+            Some(is_conflicted) => Err(RouteError::ReplicaConflicts {
+                count: conflict_count,
+                rep_frame: self.conflicts_in_rep_frame(patterns, &step_ridx, &is_conflicted),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// The conflicting steps translated back into their representatives'
+    /// frames (sorted, deduplicated), so the caller can penalize them in the
+    /// next negotiation round. A step's representative-frame node depends
+    /// only on its pattern and step index, not on the member it was stamped
+    /// for, so each `(key, step)` is translated back once.
+    fn conflicts_in_rep_frame(
+        &self,
+        patterns: &[&Pattern],
+        step_ridx: &[u32],
+        is_conflicted: &ResourceMask,
+    ) -> Vec<RNode> {
+        let mut first_step = Vec::with_capacity(patterns.len());
+        let mut total = 0;
+        for pattern in patterns {
+            first_step.push(total);
+            total += pattern.len();
+        }
+        let mut reported = vec![false; total];
+        let mut rep_frame = Vec::new();
+        let mut step_ridx = step_ridx.iter();
+        for edge in &self.edges {
+            let key = edge.key as usize;
+            for (i, (&step, &ri)) in patterns[key].iter().zip(step_ridx.by_ref()).enumerate() {
+                if ri != UNINDEXED && is_conflicted.contains(ri) && !reported[first_step[key] + i] {
+                    reported[first_step[key] + i] = true;
+                    rep_frame.push(edge.shift.unapply(edge.shift.apply(step)));
                 }
             }
         }
         rep_frame.sort_unstable();
         rep_frame.dedup();
-        return Err(RouteError::ReplicaConflicts { count: conflict_count, rep_frame });
+        rep_frame
     }
-    check_load_times(dfg, layout, &routes)?;
-    Ok(routes)
 }
 
 /// One bit per resource of an index.
@@ -923,17 +1044,46 @@ mod tests {
         layout: &Layout,
         classes: &Classes,
     ) -> Option<(RoutedDesign, Vec<FullRoute>)> {
+        let plan = ReplicaPlan::new(dfg, layout, classes, None).expect("no cancel token");
+        match feedback_rounds(dfg, layout, classes, |design| plan.replicate(design, None)).pop()? {
+            (design, Ok(routes)) => Some((design, routes)),
+            (_, Err(RouteError::ReplicaConflicts { .. })) => None,
+            (_, Err(e)) => panic!("unexpected failure: {e}"),
+        }
+    }
+
+    /// One replication feedback round: the negotiated design and what
+    /// replicating it returned.
+    type Round = (RoutedDesign, Result<Vec<FullRoute>, RouteError>);
+
+    /// Runs the feedback loop with `replicate` as its replication step until
+    /// a round replicates cleanly, fails otherwise, or the round budget (or
+    /// negotiation) runs out, returning every round.
+    fn feedback_rounds(
+        dfg: &Dfg,
+        layout: &Layout,
+        classes: &Classes,
+        mut replicate: impl FnMut(&RoutedDesign) -> Result<Vec<FullRoute>, RouteError>,
+    ) -> Vec<Round> {
         let options = HiMapOptions::default();
         let mut seed: Vec<RNode> = Vec::new();
+        let mut rounds = Vec::new();
         for _ in 0..options.replication_feedback_rounds {
-            let design = route_representatives(dfg, layout, classes, &options, &seed).ok()?;
-            match replicate_and_verify(dfg, layout, classes, &design, None) {
-                Ok(routes) => return Some((design, routes)),
-                Err(RouteError::ReplicaConflicts { rep_frame, .. }) => seed.extend(rep_frame),
-                Err(e) => panic!("unexpected failure: {e}"),
+            let Ok(design) = route_representatives(dfg, layout, classes, &options, &seed) else {
+                break;
+            };
+            let result = replicate(&design);
+            let conflicts = match &result {
+                Err(RouteError::ReplicaConflicts { rep_frame, .. }) => Some(rep_frame.clone()),
+                _ => None,
+            };
+            rounds.push((design, result));
+            match conflicts {
+                Some(rep_frame) => seed.extend(rep_frame),
+                None => break,
             }
         }
-        None
+        rounds
     }
 
     /// The in-edges of class `class`'s representative as `(descriptor,
@@ -1029,7 +1179,9 @@ mod tests {
         claim(&mut design, class, &desc_a, step);
         claim(&mut design, class, &desc_a, step);
         claim(&mut design, class, &desc_b, step);
-        let replicated = replicate_and_verify(&dfg, &layout, &classes, &design, None);
+        let replicated = ReplicaPlan::new(&dfg, &layout, &classes, None)
+            .expect("no cancel token")
+            .replicate(&design, None);
         assert!(replicated.is_ok(), "two distinct signals fit capacity 2: {replicated:?}");
     }
 
@@ -1049,7 +1201,10 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 3);
-        match replicate_and_verify(&dfg, &layout, &classes, &design, None) {
+        match ReplicaPlan::new(&dfg, &layout, &classes, None)
+            .expect("no cancel token")
+            .replicate(&design, None)
+        {
             Err(RouteError::ReplicaConflicts { count, rep_frame }) => {
                 assert!(count >= 1);
                 assert!(rep_frame.contains(&node), "{node:?} missing from {rep_frame:?}");
@@ -1087,7 +1242,10 @@ mod tests {
         let delta = 64 * layout.iib() as i64;
         shift_load(&dfg, &layout, &classes, &mut design, reader, delta);
         assert_eq!(
-            replicate_and_verify(&dfg, &layout, &classes, &design, None).map(|_| ()),
+            ReplicaPlan::new(&dfg, &layout, &classes, None)
+                .expect("no cancel token")
+                .replicate(&design, None)
+                .map(|_| ()),
             Err(RouteError::AntiDependence)
         );
     }
@@ -1099,9 +1257,81 @@ mod tests {
         let delta = -64 * layout.iib() as i64;
         shift_load(&dfg, &layout, &classes, &mut design, consumer, delta);
         assert_eq!(
-            replicate_and_verify(&dfg, &layout, &classes, &design, None).map(|_| ()),
+            ReplicaPlan::new(&dfg, &layout, &classes, None)
+                .expect("no cancel token")
+                .replicate(&design, None)
+                .map(|_| ()),
             Err(RouteError::MemCausality)
         );
+    }
+
+    /// The observable outcome of one replication round: the final routes'
+    /// edges and steps, or the error.
+    type Outcome = Result<Vec<(EdgeId, Vec<(RNode, i64)>)>, RouteError>;
+
+    fn outcome(result: &Result<Vec<FullRoute>, RouteError>) -> Outcome {
+        result
+            .as_ref()
+            .map(|routes| routes.iter().map(|r| (r.edge, r.steps.clone())).collect())
+            .map_err(Clone::clone)
+    }
+
+    #[test]
+    fn a_plan_reused_across_rounds_matches_a_fresh_plan_per_round() {
+        let (dfg, layout, classes, _) = first_replicating(&suite::ttm(), 4);
+        let plan = ReplicaPlan::new(&dfg, &layout, &classes, None).expect("no cancel token");
+        let reused =
+            feedback_rounds(&dfg, &layout, &classes, |design| plan.replicate(design, None));
+        let fresh = feedback_rounds(&dfg, &layout, &classes, |design| {
+            ReplicaPlan::new(&dfg, &layout, &classes, None)
+                .expect("no cancel token")
+                .replicate(design, None)
+        });
+        assert!(reused.len() > 1, "ttm needs several feedback rounds, took {}", reused.len());
+        assert_eq!(reused.len(), fresh.len());
+        for (round, ((_, a), (_, b))) in reused.iter().zip(&fresh).enumerate() {
+            assert_eq!(outcome(a), outcome(b), "round {round}");
+        }
+        assert!(reused.last().is_some_and(|(_, result)| result.is_ok()), "the loop converges");
+    }
+
+    #[test]
+    fn a_missing_descriptor_is_reported_for_the_first_edge_using_it() {
+        let kernel = suite::gemm();
+        let (dfg, layout, classes) = pipeline(&kernel, 4);
+        let (mut design, _) = replicated_design(&dfg, &layout, &classes);
+        // `(class, descriptor)` of every edge, in edge order.
+        let keys: Vec<(usize, Descriptor)> = dfg
+            .graph()
+            .edge_ids()
+            .map(|e| {
+                let dst_iter = dfg.graph()[dfg.graph().edge_endpoints(e).1].iter;
+                let class = classes.of[dfg.linear_index(dst_iter)] as usize;
+                (class, descriptor(&dfg, &layout, e, dst_iter).1)
+            })
+            .collect();
+        let replicate = |design: &RoutedDesign| {
+            ReplicaPlan::new(&dfg, &layout, &classes, None)
+                .expect("no cancel token")
+                .replicate(design, None)
+                .map(|_| ())
+        };
+        // One missing descriptor: its class is reported.
+        let (last_class, last_desc) = *keys.last().expect("edges");
+        design.patterns[last_class].routes.remove(&last_desc);
+        assert_eq!(replicate(&design), Err(RouteError::MissingPattern { class: last_class }));
+        // A second one, in another class: the first of the two in edge order
+        // is reported.
+        let (other_class, other_desc) =
+            *keys.iter().find(|(class, _)| *class != last_class).expect("two classes");
+        design.patterns[other_class].routes.remove(&other_desc);
+        let first = keys
+            .iter()
+            .find(|&&(c, d)| {
+                (c, d) == (last_class, last_desc) || (c, d) == (other_class, other_desc)
+            })
+            .expect("removed keys are used");
+        assert_eq!(replicate(&design), Err(RouteError::MissingPattern { class: first.0 }));
     }
 
     #[test]

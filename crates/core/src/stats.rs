@@ -61,8 +61,15 @@ pub struct StageTimes {
     pub dfg: Duration,
     /// `ROUTE()` — PathFinder negotiation over class representatives.
     pub route: Duration,
-    /// Replication of class patterns and full-array verification.
+    /// Replication of class patterns and full-array verification,
+    /// including each layout's one-time replication plan.
     pub replicate: Duration,
+    /// Layout construction and unique-iteration classification, per
+    /// routed layout.
+    pub classify: Duration,
+    /// Mapping materialisation of the winning layout: op slots, the
+    /// `Mapping` artifact and its configuration image.
+    pub materialise: Duration,
     /// Dense MRRG index acquisition (`MrrgIndex::shared`). The first
     /// acquisition per `(spec, II)` compiles the CSR adjacency; later ones
     /// are cache hits, so this stays near zero in steady state. Included in
@@ -115,7 +122,8 @@ pub struct PipelineStats {
     pub route_attempts: usize,
     /// PathFinder negotiation rounds consumed inside those invocations.
     pub pathfinder_rounds: usize,
-    /// `replicate_and_verify` invocations.
+    /// Replication rounds ([`ReplicaPlan::replicate`](crate::route::ReplicaPlan::replicate)
+    /// invocations).
     pub replication_rounds: usize,
     /// Dependence-probe cache hits.
     pub probe_cache_hits: usize,
@@ -180,8 +188,8 @@ impl PipelineStats {
         let mut out = format!(
             "pipeline: {:.1} ms wall, {} thread{}\n\
              \x20 stages   MAP {:.1} ms | enumerate {:.1} ms | probe {:.1} ms | \
-             search {:.1} ms | DFG {:.1} ms | ROUTE {:.1} ms | replicate {:.1} ms | \
-             index {:.1} ms\n\
+             search {:.1} ms | DFG {:.1} ms | classify {:.1} ms | ROUTE {:.1} ms | \
+             replicate {:.1} ms | materialise {:.1} ms | index {:.1} ms\n\
              \x20 MAP      {} shapes tried -> {} sub-candidates\n\
              \x20 walk     {} enumerated (+{} deduped), {} tried, {} pruned, {} abandoned\n\
              \x20 systolic {} searches, {} matrices -> {} valid maps, {} layouts routed\n\
@@ -197,8 +205,10 @@ impl PipelineStats {
             ms(t.probe),
             ms(t.search),
             ms(t.dfg),
+            ms(t.classify),
             ms(t.route),
             ms(t.replicate),
+            ms(t.materialise),
             ms(t.index),
             self.sub_shapes_tried,
             self.sub_candidates,
@@ -268,6 +278,8 @@ pub(crate) struct StatsCollector {
     dfg_nanos: AtomicU64,
     route_nanos: AtomicU64,
     replicate_nanos: AtomicU64,
+    classify_nanos: AtomicU64,
+    materialise_nanos: AtomicU64,
     index_nanos: AtomicU64,
     pub(crate) sub_shapes_tried: AtomicUsize,
     pub(crate) sub_candidates: AtomicUsize,
@@ -314,6 +326,8 @@ pub(crate) enum Stage {
     DfgBuild,
     Route,
     Replicate,
+    Classify,
+    Materialise,
 }
 
 impl StatsCollector {
@@ -330,6 +344,8 @@ impl StatsCollector {
             Stage::DfgBuild => &self.dfg_nanos,
             Stage::Route => &self.route_nanos,
             Stage::Replicate => &self.replicate_nanos,
+            Stage::Classify => &self.classify_nanos,
+            Stage::Materialise => &self.materialise_nanos,
         };
         cell.fetch_add(nanos, Ordering::Relaxed);
         out
@@ -385,6 +401,8 @@ impl StatsCollector {
                 dfg: dur(&self.dfg_nanos),
                 route: dur(&self.route_nanos),
                 replicate: dur(&self.replicate_nanos),
+                classify: dur(&self.classify_nanos),
+                materialise: dur(&self.materialise_nanos),
                 index: dur(&self.index_nanos),
                 total,
             },

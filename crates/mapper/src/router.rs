@@ -588,8 +588,11 @@ impl CostModel for HopBoundCost {
 /// in epoch-stamped pages allocated where searches reach and reused across
 /// `route*` calls, so the hot path neither hashes nor (once warm)
 /// allocates, and scratch memory follows the searched region rather than
-/// the fabric ([`Router::scratch_bytes`]). The search order,
-/// tie-breaking and results are bit-identical to
+/// the fabric ([`Router::scratch_bytes`]). The resources whose occupancy or
+/// history was written since the last clear are kept in touched lists, so
+/// the congestion scans and resets of a negotiation round cost the routed
+/// region, not the fabric. The search order, tie-breaking and results are
+/// bit-identical to
 /// [`ReferenceRouter`](crate::ReferenceRouter), the retained hash-map
 /// implementation it is differentially tested against.
 ///
@@ -601,6 +604,10 @@ pub struct Router {
     present: Vec<Vec<SignalId>>,
     /// Accumulated history cost per resource, by dense id.
     history: Vec<f64>,
+    /// Resources whose `present` list may be non-empty.
+    present_touched: Touched,
+    /// Resources whose `history` may be non-zero.
+    history_touched: Touched,
     config: RouterConfig,
     scratch: SearchScratch,
     stats: RouterStats,
@@ -623,6 +630,8 @@ impl Router {
             index,
             present: vec![Vec::new(); n],
             history: vec![0.0; n],
+            present_touched: Touched::new(n),
+            history_touched: Touched::new(n),
             config,
             scratch: SearchScratch::default(),
             stats: RouterStats::default(),
@@ -741,7 +750,7 @@ impl Router {
             Elapsed::Exact(e) => (e, Some(e)),
             Elapsed::AtMost(m) => (m, None),
         };
-        let Router { index, present, history, config, scratch, stats, cancel } = self;
+        let Router { index, present, history, config, scratch, stats, cancel, .. } = self;
         scratch.begin(index.len(), cap as usize + 1, stats);
         stats.searches += 1;
         // A search that starts already cancelled is refused outright — the
@@ -880,7 +889,7 @@ impl Router {
             Elapsed::Exact(e) => (e, Some(e)),
             Elapsed::AtMost(m) => (m, None),
         };
-        let Router { index, present, history, config, scratch, stats, cancel } = self;
+        let Router { index, present, history, config, scratch, stats, cancel, .. } = self;
         let ctx = CostContext { index, present, history, config };
         scratch.begin(index.len(), cap as usize + 1, stats);
         stats.searches += 1;
@@ -997,7 +1006,7 @@ impl Router {
     ) -> Option<RoutedPath> {
         let base = sources.iter().map(|&(_, abs)| abs).min()?;
         let need = u32::try_from(target_abs - base).ok()?;
-        let Router { index, present, history, config, scratch, stats, cancel } = self;
+        let Router { index, present, history, config, scratch, stats, cancel, .. } = self;
         scratch.begin(index.len(), need as usize + 1, stats);
         stats.searches += 1;
         // See `route_constrained`: an already-cancelled search is refused
@@ -1092,6 +1101,7 @@ impl Router {
     pub fn add_history(&mut self, node: RNode, amount: f64) {
         if let Some(i) = self.index.index_of(node) {
             self.history[i.index()] += amount;
+            self.history_touched.insert(i.0);
         }
     }
 
@@ -1108,7 +1118,7 @@ impl Router {
         cap: u32,
     ) -> HashMap<(RNode, u32), f64> {
         let mut fu_costs: HashMap<(RNode, u32), f64> = HashMap::new();
-        let Router { index, present, history, config, scratch, stats, cancel } = self;
+        let Router { index, present, history, config, scratch, stats, cancel, .. } = self;
         scratch.begin(index.len(), cap as usize + 1, stats);
         stats.searches += 1;
         // A cancelled distance sweep returns the (empty) partial map; the
@@ -1226,6 +1236,7 @@ impl Router {
         let occupants = &mut self.present[i.index()];
         if !occupants.contains(&signal) {
             occupants.push(signal);
+            self.present_touched.insert(i.0);
         }
     }
 
@@ -1244,25 +1255,29 @@ impl Router {
     /// All currently oversubscribed resources (distinct signals exceed
     /// capacity), in ascending node order.
     pub fn oversubscribed(&self) -> Vec<RNode> {
-        // Dense ids ascend in RNode order, so the scan is already sorted.
-        self.present
+        let mut over: Vec<u32> = self
+            .present_touched
+            .ids
             .iter()
-            .enumerate()
-            .filter(|(i, occupants)| occupants.len() > self.index.capacity(RIdx(*i as u32)))
-            .map(|(i, _)| self.index.node(RIdx(i as u32)))
-            .collect()
+            .copied()
+            .filter(|&i| self.present[i as usize].len() > self.index.capacity(RIdx(i)))
+            .collect();
+        // Dense ids ascend in RNode order.
+        over.sort_unstable();
+        over.into_iter().map(|i| self.index.node(RIdx(i))).collect()
     }
 
     /// Adds history cost on every oversubscribed node (one negotiation
     /// round), returning how many nodes were penalized.
     pub fn bump_history(&mut self) -> usize {
         let mut bumped = 0;
-        for i in 0..self.present.len() {
-            let occupants = self.present[i].len();
-            let capacity = self.index.capacity(RIdx(i as u32));
+        for &i in &self.present_touched.ids {
+            let occupants = self.present[i as usize].len();
+            let capacity = self.index.capacity(RIdx(i));
             if occupants > capacity {
                 let excess = occupants - capacity;
-                self.history[i] += self.config.history_increment * excess as f64;
+                self.history[i as usize] += self.config.history_increment * excess as f64;
+                self.history_touched.insert(i);
                 bumped += 1;
             }
         }
@@ -1272,15 +1287,46 @@ impl Router {
     /// Clears all present occupancy (history is kept) — the start of a
     /// rip-up-and-reroute round. Keeps the per-resource allocations.
     pub fn clear_present(&mut self) {
-        for occupants in &mut self.present {
-            occupants.clear();
-        }
+        let present = &mut self.present;
+        self.present_touched.clear(|i| present[i].clear());
     }
 
     /// Clears both occupancy and history.
     pub fn reset(&mut self) {
         self.clear_present();
-        self.history.fill(0.0);
+        let history = &mut self.history;
+        self.history_touched.clear(|i| history[i] = 0.0);
+    }
+}
+
+/// A set of dense resource ids written since the last clear: the ids in
+/// insertion order, each once, plus one membership bit per resource.
+#[derive(Clone, Debug)]
+struct Touched {
+    ids: Vec<u32>,
+    marked: Vec<u64>,
+}
+
+impl Touched {
+    fn new(resources: usize) -> Self {
+        Touched { ids: Vec::new(), marked: vec![0; resources.div_ceil(64)] }
+    }
+
+    #[inline]
+    fn insert(&mut self, i: u32) {
+        let (word, bit) = (&mut self.marked[i as usize / 64], 1u64 << (i % 64));
+        if *word & bit == 0 {
+            *word |= bit;
+            self.ids.push(i);
+        }
+    }
+
+    /// Calls `f` on every listed id and empties the set.
+    fn clear(&mut self, mut f: impl FnMut(usize)) {
+        for i in self.ids.drain(..) {
+            self.marked[i as usize / 64] &= !(1u64 << (i % 64));
+            f(i as usize);
+        }
     }
 }
 

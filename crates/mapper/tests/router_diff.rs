@@ -181,3 +181,132 @@ fn committed_sweep_with_rip_up_stays_identical() {
     let b = legacy.route_one(SignalId(500), fu(0, 0, 0, 2), fu(3, 3, 0, 2), None);
     assert_eq!(fingerprint(&a), fingerprint(&b));
 }
+
+/// SplitMix64: a tiny seeded generator, so the congestion sequences below
+/// replay identically everywhere.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Seeded sequences of congestion updates — placements and removals
+/// (including re-placing a node a removal emptied), committed and ripped-up
+/// routes, external and repeated negotiated history, partial and full
+/// resets — applied to both routers. After every step the oversubscribed
+/// set (in order) and a probe search must agree, and every history bump
+/// must penalize the same number of nodes.
+#[test]
+fn seeded_congestion_sequences_stay_identical() {
+    let ii = 2;
+    // Steps that saw an oversubscribed resource, and penalizing bumps.
+    let (mut congested, mut bumped) = (0, 0);
+    for seed in 0..8u64 {
+        let mut rng = SplitMix(seed);
+        let (mut dense, mut legacy) = pair(3, 3, ii);
+        let nodes = dense.mrrg().nodes();
+        // A small hot pool so distinct signals pile up on shared resources.
+        let hot: Vec<RNode> = (0..10).map(|_| nodes[rng.below(nodes.len())]).collect();
+        let mut placed: Vec<(RNode, SignalId)> = Vec::new();
+        let mut emptied: Vec<RNode> = Vec::new();
+        let mut committed: Vec<RoutedPath> = Vec::new();
+        for step in 0..300 {
+            let ctx = format!("seed {seed} step {step}");
+            match rng.below(10) {
+                0 | 1 => {
+                    let node = hot[rng.below(hot.len())];
+                    let signal = SignalId(rng.below(5) as u32);
+                    dense.place(node, signal);
+                    legacy.place(node, signal);
+                    placed.push((node, signal));
+                }
+                2 if !placed.is_empty() => {
+                    let (node, signal) = placed.swap_remove(rng.below(placed.len()));
+                    dense.unplace(node, signal);
+                    legacy.unplace(node, signal);
+                    if dense.occupants(node).is_empty() {
+                        emptied.push(node);
+                    }
+                }
+                3 if !emptied.is_empty() => {
+                    let node = emptied.swap_remove(rng.below(emptied.len()));
+                    for s in 0..3 {
+                        dense.place(node, SignalId(10 + s));
+                        legacy.place(node, SignalId(10 + s));
+                        placed.push((node, SignalId(10 + s)));
+                    }
+                }
+                4 => {
+                    let src = fu(rng.below(3), rng.below(3), 0, ii);
+                    let elapsed = 1 + rng.below(5) as u32;
+                    let dst = fu(rng.below(3), rng.below(3), elapsed as usize, ii);
+                    let signal = SignalId(20 + step as u32);
+                    let a = dense.route_one(signal, src, dst, Some(elapsed));
+                    let b = legacy.route_one(signal, src, dst, Some(elapsed));
+                    assert_eq!(fingerprint(&a), fingerprint(&b), "{ctx}: route");
+                    if let (Some(pa), Some(pb)) = (a, b) {
+                        dense.commit(&pa);
+                        legacy.commit(&pb);
+                        committed.push(pa);
+                    }
+                }
+                5 if !committed.is_empty() => {
+                    let path = committed.swap_remove(rng.below(committed.len()));
+                    dense.rip_up(&path);
+                    legacy.rip_up(&path);
+                }
+                6 => {
+                    let node = nodes[rng.below(nodes.len())];
+                    let amount = (1 + rng.below(4)) as f64 * 0.75;
+                    dense.add_history(node, amount);
+                    legacy.add_history(node, amount);
+                }
+                7 => {
+                    for _ in 0..1 + rng.below(3) {
+                        let n = dense.bump_history();
+                        assert_eq!(n, legacy.bump_history(), "{ctx}: bump");
+                        bumped += usize::from(n > 0);
+                    }
+                }
+                8 => {
+                    dense.clear_present();
+                    legacy.clear_present();
+                    placed.clear();
+                    emptied.clear();
+                    committed.clear();
+                }
+                9 if rng.below(4) == 0 => {
+                    dense.reset();
+                    legacy.reset();
+                    placed.clear();
+                    emptied.clear();
+                    committed.clear();
+                }
+                _ => {}
+            }
+            let over = dense.oversubscribed();
+            assert_eq!(over, legacy.oversubscribed(), "{ctx}: oversubscribed");
+            congested += usize::from(!over.is_empty());
+            let sources = [(fu(0, 0, 0, ii), 0i64)];
+            let target_abs = 2 + rng.below(4) as i64;
+            let dst = fu(rng.below(3), rng.below(3), target_abs as usize, ii);
+            let a = dense.route_timed(SignalId(99), &sources, dst, target_abs, |_| true);
+            let b = legacy.route_timed(SignalId(99), &sources, dst, target_abs, |_| true);
+            assert_eq!(fingerprint(&a), fingerprint(&b), "{ctx}: probe");
+        }
+    }
+    assert!(
+        congested > 100 && bumped > 10,
+        "sequences too tame: {congested} congested, {bumped} bumps"
+    );
+}

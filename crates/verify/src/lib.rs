@@ -1,7 +1,7 @@
 //! `himap-verify` — an independent static verifier for CGRA mappings.
 //!
 //! HiMap's own soundness argument lives inside the mapper
-//! (`replicate_and_verify`): the prover audits itself. This crate is the
+//! (`ReplicaPlan::replicate`): the prover audits itself. This crate is the
 //! external auditor. It takes any [`Mapping`] — produced by HiMap or, in
 //! placement-only form, by the `himap-baseline` mappers — together with the
 //! [`CgraSpec`](himap_cgra::CgraSpec) and [`Dfg`](himap_dfg::Dfg), and

@@ -434,7 +434,7 @@ fn route_source_times(mapping: &Mapping, node: NodeId) -> impl Iterator<Item = i
 }
 
 /// Modulo resource exclusivity (V001): restamp every resource from the op
-/// placements and routes — the same occupancy model `replicate_and_verify`
+/// placements and routes — the same occupancy model `ReplicaPlan::replicate`
 /// uses, but derived here from the final artifact instead of the mapper's
 /// intermediate state. Register-file resources report as V004.
 fn check_exclusivity(mapping: &Mapping, sink: &mut DiagnosticSink) {

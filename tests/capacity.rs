@@ -1,4 +1,4 @@
-//! Property: a mapping that `replicate_and_verify` accepted never
+//! Property: a mapping that `ReplicaPlan::replicate` accepted never
 //! oversubscribes any MRRG resource node.
 //!
 //! The pipeline's own verifier accumulates occupancy while replicating;

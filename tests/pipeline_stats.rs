@@ -154,3 +154,30 @@ fn router_scratch_follows_the_routed_region_not_the_fabric() {
     );
     assert!(stats.summary().contains("router scratch"), "{}", stats.summary());
 }
+
+#[test]
+fn classify_and_materialise_are_charged_and_stages_fit_in_wall_time() {
+    // gemm in the paper's b = c = 16 regime, sequential walk: layout
+    // classification and mapping materialisation run at least once each,
+    // and the exclusive stages (`index` is part of `route`) never add up to
+    // more than the wall time.
+    let options = HiMapOptions { threads: 1, free_extents: vec![16], ..HiMapOptions::default() };
+    let (result, stats) = HiMap::new(options)
+        .map_with_stats(&himap_repro::kernels::suite::gemm(), &CgraSpec::square(16));
+    result.expect("gemm maps at b = c = 16");
+    let t = &stats.times;
+    assert!(t.classify > std::time::Duration::ZERO, "classify not charged: {t:?}");
+    assert!(t.materialise > std::time::Duration::ZERO, "materialise not charged: {t:?}");
+    let exclusive = t.map
+        + t.enumerate
+        + t.probe
+        + t.search
+        + t.dfg
+        + t.classify
+        + t.route
+        + t.replicate
+        + t.materialise;
+    assert!(exclusive <= t.total, "stages {exclusive:?} exceed wall {:?}: {t:?}", t.total);
+    let summary = stats.summary();
+    assert!(summary.contains("classify") && summary.contains("materialise"), "{summary}");
+}

@@ -2,7 +2,7 @@
 //!
 //! Two directions: a positive sweep proving every mapping the pipeline and
 //! the baselines produce verifies clean (independently of the mapper's own
-//! `replicate_and_verify` bookkeeping), and mutation-style negative tests
+//! `ReplicaPlan::replicate` bookkeeping), and mutation-style negative tests
 //! proving each class of corruption is caught under its specific
 //! diagnostic code.
 
