@@ -110,8 +110,10 @@ stage "bound consistency vs exact oracle" \
   cargo test --release -q --test static_analysis -- --ignored
 
 # Wall-time-sensitive tests excluded from the default run: the 4-thread walk
-# must not be slower than sequential (work-queue scheduler promise), and a
-# paper-scale map (gemm b = c = 32) must honour a 250 ms deadline within 2x.
+# must not be slower than sequential (work-queue scheduler promise), a
+# paper-scale map (gemm b = c = 32) must honour a 250 ms deadline within 2x,
+# and verifying plus simulating that gemm b = c = 32 mapping must take less
+# time than the map call that produced it.
 stage "cargo test --ignored (wall-time)" \
   cargo test --release -q --test determinism -- --ignored
 

@@ -89,14 +89,23 @@ impl ConfigImage {
     pub fn from_mapping(mapping: &Mapping) -> ConfigImage {
         let iib = mapping.stats().iib;
         let spec = mapping.spec();
-        // Build raw per-(pe, cycle) instructions.
-        let mut raw: HashMap<(PeId, u32), Instr> = HashMap::new();
+        // Raw per-(pe, cycle) instructions in one dense table, row-major
+        // over the PEs. `x * cols + y` aliases another PE when `pe` lies
+        // outside the array, so only in-array PEs and in-window cycles are
+        // written; anything else is not part of the image.
+        let mut raw = vec![Instr::default(); spec.pe_count() * iib];
+        let at = |pe: PeId, cycle: u32| {
+            (spec.contains(pe) && (cycle as usize) < iib)
+                .then(|| (pe.x as usize * spec.cols + pe.y as usize) * iib + cycle as usize)
+        };
         // ALU ops.
         let dfg = mapping.dfg();
         for (node, w) in dfg.graph().nodes() {
             if let NodeKind::Op { kind, .. } = w.kind {
                 let Some(slot) = mapping.op_slot(node) else { continue };
-                raw.entry((slot.pe, slot.cycle_mod)).or_default().op = Some(kind);
+                if let Some(i) = at(slot.pe, slot.cycle_mod) {
+                    raw[i].op = Some(kind);
+                }
             }
         }
         // Route moves: each consecutive step pair implies one move at one
@@ -105,9 +114,10 @@ impl ConfigImage {
             for pair in route.steps.windows(2) {
                 let ((a, a_abs), (b, _)) = (pair[0], pair[1]);
                 if let Some((pe, cycle, mv)) = step_move(spec, a, a_abs, b, iib) {
-                    let instr = raw.entry((pe, cycle)).or_default();
-                    if !instr.moves.contains(&mv) {
-                        instr.moves.push(mv);
+                    if let Some(i) = at(pe, cycle) {
+                        if !raw[i].moves.contains(&mv) {
+                            raw[i].moves.push(mv);
+                        }
                     }
                 }
             }
@@ -115,11 +125,12 @@ impl ConfigImage {
         // Canonicalize and compress.
         let mut streams: HashMap<PeId, Vec<u16>> = HashMap::new();
         let mut store: HashMap<PeId, Vec<Instr>> = HashMap::new();
-        for pe in spec.pes() {
+        // `spec.pes()` walks the PEs in the table's row-major order.
+        for (p, pe) in spec.pes().enumerate() {
             let pe_store: &mut Vec<Instr> = store.entry(pe).or_default();
             let mut stream = Vec::with_capacity(iib);
-            for cycle in 0..iib as u32 {
-                let mut instr = raw.remove(&(pe, cycle)).unwrap_or_default();
+            for instr in &mut raw[p * iib..(p + 1) * iib] {
+                let mut instr = std::mem::take(instr);
                 instr.moves.sort();
                 let idx = match pe_store.iter().position(|i| *i == instr) {
                     Some(i) => i,
@@ -325,6 +336,50 @@ mod tests {
         for cycle in 0..iib {
             assert_eq!(image.instr_at(pe, cycle), image.instr_at(pe, cycle + iib));
         }
+    }
+
+    /// 64-bit FNV-1a over every instruction word of an image, in PE and
+    /// cycle order, then its worst-case footprint.
+    fn image_digest(spec: &CgraSpec, image: &ConfigImage) -> u64 {
+        let mut text = String::new();
+        for pe in spec.pes() {
+            for cycle in 0..image.iib() as u32 {
+                text.push_str(&format!("{pe:?}/{cycle}: {:?}\n", image.instr_at(pe, cycle)));
+            }
+        }
+        text.push_str(&format!("max {}", image.max_unique_instrs()));
+        text.bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    #[test]
+    fn images_match_golden_digests() {
+        // Pinned images: the eight suite kernels on 4x4, and gemm in the
+        // paper's b = c = 16 regime.
+        let golden: [(&str, usize, Option<usize>, u64); 9] = [
+            ("gemm", 4, None, 0xdcf70c2d64f4900d),
+            ("bicg", 4, None, 0x05857e30ab30e4b9),
+            ("mvt", 4, None, 0x1c5e2eea4b2c8cff),
+            ("atax", 4, None, 0x05857e30ab30e4b9),
+            ("syrk", 4, None, 0xdcf70c2d64f4900d),
+            ("floyd-warshall", 4, None, 0xc24b282f49b87737),
+            ("adi", 4, None, 0x3a8ef84c01e2526a),
+            ("ttm", 4, None, 0x64dfff309a3f5f26),
+            ("gemm", 16, Some(16), 0x522f3830b1561703),
+        ];
+        let mut got = Vec::new();
+        for &(name, c, free, _) in &golden {
+            let kernel = suite::by_name(name).expect("kernel exists");
+            let mut options = HiMapOptions { threads: 1, ..HiMapOptions::default() };
+            if let Some(b) = free {
+                options.free_extents = vec![b];
+            }
+            let spec = CgraSpec::square(c);
+            let mapping = HiMap::new(options).map(&kernel, &spec).expect("maps");
+            got.push(image_digest(&spec, &ConfigImage::from_mapping(&mapping)));
+        }
+        let want: Vec<u64> = golden.iter().map(|g| g.3).collect();
+        assert_eq!(got, want, "config image digests: {got:#018x?}");
     }
 
     #[test]

@@ -501,7 +501,7 @@ impl HiMap {
         for verdict in verdicts {
             match verdict {
                 Verdict::Mapped(mapping) => {
-                    self.cross_check(&mapping)?;
+                    stats.timed(Stage::Verify, || self.cross_check(&mapping))?;
                     return Ok(*mapping);
                 }
                 Verdict::DfgError(why) => return Err(HiMapError::Dfg(why)),

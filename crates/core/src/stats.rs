@@ -72,9 +72,13 @@ pub struct StageTimes {
     pub materialise: Duration,
     /// Dense MRRG index acquisition (`MrrgIndex::shared`). The first
     /// acquisition per `(spec, II)` compiles the CSR adjacency; later ones
-    /// are cache hits, so this stays near zero in steady state. Included in
-    /// `route`, broken out to expose the one-time build cost.
+    /// are cache hits, so this stays near zero in steady state. The index
+    /// is acquired before negotiation starts, outside the `route` timer, so
+    /// this time is not part of `route`.
     pub index: Duration,
+    /// The installed verify hook's cross-check of the winning mapping
+    /// (debug builds, or `HiMapOptions::verify`); zero when it did not run.
+    pub verify: Duration,
     /// End-to-end wall time of the whole `map` call.
     pub total: Duration,
 }
@@ -189,7 +193,7 @@ impl PipelineStats {
             "pipeline: {:.1} ms wall, {} thread{}\n\
              \x20 stages   MAP {:.1} ms | enumerate {:.1} ms | probe {:.1} ms | \
              search {:.1} ms | DFG {:.1} ms | classify {:.1} ms | ROUTE {:.1} ms | \
-             replicate {:.1} ms | materialise {:.1} ms | index {:.1} ms\n\
+             replicate {:.1} ms | materialise {:.1} ms | index {:.1} ms | verify {:.1} ms\n\
              \x20 MAP      {} shapes tried -> {} sub-candidates\n\
              \x20 walk     {} enumerated (+{} deduped), {} tried, {} pruned, {} abandoned\n\
              \x20 systolic {} searches, {} matrices -> {} valid maps, {} layouts routed\n\
@@ -210,6 +214,7 @@ impl PipelineStats {
             ms(t.replicate),
             ms(t.materialise),
             ms(t.index),
+            ms(t.verify),
             self.sub_shapes_tried,
             self.sub_candidates,
             self.candidates_enumerated,
@@ -281,6 +286,7 @@ pub(crate) struct StatsCollector {
     classify_nanos: AtomicU64,
     materialise_nanos: AtomicU64,
     index_nanos: AtomicU64,
+    verify_nanos: AtomicU64,
     pub(crate) sub_shapes_tried: AtomicUsize,
     pub(crate) sub_candidates: AtomicUsize,
     pub(crate) candidates_enumerated: AtomicUsize,
@@ -328,6 +334,7 @@ pub(crate) enum Stage {
     Replicate,
     Classify,
     Materialise,
+    Verify,
 }
 
 impl StatsCollector {
@@ -346,6 +353,7 @@ impl StatsCollector {
             Stage::Replicate => &self.replicate_nanos,
             Stage::Classify => &self.classify_nanos,
             Stage::Materialise => &self.materialise_nanos,
+            Stage::Verify => &self.verify_nanos,
         };
         cell.fetch_add(nanos, Ordering::Relaxed);
         out
@@ -404,6 +412,7 @@ impl StatsCollector {
                 classify: dur(&self.classify_nanos),
                 materialise: dur(&self.materialise_nanos),
                 index: dur(&self.index_nanos),
+                verify: dur(&self.verify_nanos),
                 total,
             },
             threads,
@@ -465,9 +474,17 @@ mod tests {
     fn summary_mentions_every_counter_family() {
         let s = PipelineStats { threads: 4, ..PipelineStats::default() };
         let text = s.summary();
-        for needle in
-            ["MAP", "walk", "systolic", "route", "router", "epoch resets", "probes", "4 threads"]
-        {
+        for needle in [
+            "MAP",
+            "walk",
+            "systolic",
+            "route",
+            "router",
+            "epoch resets",
+            "probes",
+            "verify",
+            "4 threads",
+        ] {
             assert!(text.contains(needle), "summary missing {needle}: {text}");
         }
     }

@@ -6,7 +6,8 @@
 //!
 //! The `#[ignore]`d tests here are wall-time gates (run by the CI
 //! `--ignored` stage): the parallel walk is never slower than sequential,
-//! and a paper-scale map honours its deadline.
+//! a paper-scale map honours its deadline, and checking a paper-scale
+//! mapping costs less than producing it.
 
 use himap_repro::cgra::CgraSpec;
 use himap_repro::core::{HiMap, HiMapError, HiMapOptions, Mapping};
@@ -170,6 +171,32 @@ fn deadline_holds_through_replication_on_gemm_32x32() {
         "deadline overshot: returned after {:.1} ms (limit {:.1} ms)",
         elapsed.as_secs_f64() * 1e3,
         (deadline * 2).as_secs_f64() * 1e3,
+    );
+}
+
+#[test]
+#[ignore = "wall-time sensitive; run in the CI bench stage (cargo test -- --ignored)"]
+fn checking_a_paper_scale_mapping_is_cheaper_than_producing_it() {
+    // Paper-scale block (b = c = 32, 131,072 routes): the verifier and the
+    // simulator each cost one pass over the routes' steps plus a sort, so
+    // checking the mapping must take less time than the `map` call that
+    // produced it.
+    let _serial = WALL_TIME.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let options = HiMapOptions { threads: 1, free_extents: vec![32], ..HiMapOptions::default() };
+    let start = std::time::Instant::now();
+    let mapping = HiMap::new(options).map(&suite::gemm(), &CgraSpec::square(32)).expect("maps");
+    let map_time = start.elapsed();
+    let start = std::time::Instant::now();
+    let report = himap_repro::verify::verify_mapping(&mapping);
+    let simulated = himap_repro::sim::simulate(&mapping, 1);
+    let check_time = start.elapsed();
+    assert!(!report.has_errors(), "{}", report.render_pretty());
+    assert!(simulated.is_ok(), "{simulated:?}");
+    assert!(
+        check_time < map_time,
+        "verify + simulate took {:.1} ms, the map call {:.1} ms",
+        check_time.as_secs_f64() * 1e3,
+        map_time.as_secs_f64() * 1e3,
     );
 }
 

@@ -157,17 +157,25 @@ fn router_scratch_follows_the_routed_region_not_the_fabric() {
 
 #[test]
 fn classify_and_materialise_are_charged_and_stages_fit_in_wall_time() {
-    // gemm in the paper's b = c = 16 regime, sequential walk: layout
-    // classification and mapping materialisation run at least once each,
-    // and the exclusive stages (`index` is part of `route`) never add up to
-    // more than the wall time.
-    let options = HiMapOptions { threads: 1, free_extents: vec![16], ..HiMapOptions::default() };
+    // gemm in the paper's b = c = 16 regime, sequential walk, with the
+    // verify hook installed and `verify: true`: layout classification,
+    // mapping materialisation and the hook's cross-check each run and are
+    // charged to their own stage, and the stages (each exclusive of the
+    // others) never add up to more than the wall time.
+    himap_repro::verify::install();
+    let options = HiMapOptions {
+        threads: 1,
+        free_extents: vec![16],
+        verify: true,
+        ..HiMapOptions::default()
+    };
     let (result, stats) = HiMap::new(options)
         .map_with_stats(&himap_repro::kernels::suite::gemm(), &CgraSpec::square(16));
-    result.expect("gemm maps at b = c = 16");
+    result.expect("gemm maps and verifies at b = c = 16");
     let t = &stats.times;
     assert!(t.classify > std::time::Duration::ZERO, "classify not charged: {t:?}");
     assert!(t.materialise > std::time::Duration::ZERO, "materialise not charged: {t:?}");
+    assert!(t.verify > std::time::Duration::ZERO, "verify not charged: {t:?}");
     let exclusive = t.map
         + t.enumerate
         + t.probe
@@ -176,8 +184,12 @@ fn classify_and_materialise_are_charged_and_stages_fit_in_wall_time() {
         + t.classify
         + t.route
         + t.replicate
-        + t.materialise;
+        + t.materialise
+        + t.index
+        + t.verify;
     assert!(exclusive <= t.total, "stages {exclusive:?} exceed wall {:?}: {t:?}", t.total);
     let summary = stats.summary();
-    assert!(summary.contains("classify") && summary.contains("materialise"), "{summary}");
+    for stage in ["classify", "materialise", "verify"] {
+        assert!(summary.contains(stage), "{summary}");
+    }
 }

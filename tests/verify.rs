@@ -7,8 +7,8 @@
 //! diagnostic code.
 
 use himap_repro::baseline::{bhc, BaselineOptions};
-use himap_repro::cgra::CgraSpec;
-use himap_repro::core::{HiMap, HiMapError, HiMapOptions, Mapping, MappingParts};
+use himap_repro::cgra::{CgraSpec, RKind, RNode};
+use himap_repro::core::{HiMap, HiMapError, HiMapOptions, Mapping, MappingParts, RouteInstance};
 use himap_repro::dfg::Dfg;
 use himap_repro::kernels::suite;
 use himap_repro::verify::{verify_baseline, verify_mapping, Code, Severity};
@@ -31,6 +31,20 @@ fn assert_error(mapping: &Mapping, code: Code) {
         "expected an {code:?} error, got:\n{}",
         report.render_pretty()
     );
+}
+
+/// 64-bit FNV-1a of a string.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// The whole report — every diagnostic, in order, with its locus and
+/// notes — must render to the pinned JSON digest.
+fn assert_report_digest(mapping: &Mapping, want: u64) {
+    let json = verify_mapping(mapping).render_json();
+    let got = fnv1a(&json);
+    assert_eq!(got, want, "report digest {got:#018x} differs from the pinned one:\n{json}");
 }
 
 // ---------------------------------------------------------------- positive
@@ -87,13 +101,18 @@ fn reassembled_mapping_still_verifies() {
 }
 
 // ------------------------------------------------------------- mutations
+//
+// Each mutation also pins the verifier's full JSON report to a digest, so
+// a rewrite of a check must keep the same diagnostics in the same order.
 
 #[test]
 fn double_booked_fu_slot_is_v001() {
     let mut parts = gemm_parts();
     // Move one op onto another op's FU slot: two distinct signals on one
-    // modulo FU resource.
-    let nodes: Vec<_> = parts.op_slots.keys().copied().collect();
+    // modulo FU resource. Ops are picked in node order so the mutation
+    // (and so the report) is the same on every run.
+    let mut nodes: Vec<_> = parts.op_slots.keys().copied().collect();
+    nodes.sort();
     let (a, b) = (
         nodes[0],
         *nodes
@@ -103,7 +122,66 @@ fn double_booked_fu_slot_is_v001() {
     );
     let slot_a = parts.op_slots[&a];
     parts.op_slots.insert(b, slot_a);
-    assert_error(&Mapping::from_parts(parts), Code::V001);
+    let mapping = Mapping::from_parts(parts);
+    assert_error(&mapping, Code::V001);
+    assert_report_digest(&mapping, 0x93bce222a1d56b65);
+}
+
+#[test]
+fn three_signals_on_one_wire_are_listed_in_first_claim_order() {
+    let mut parts = gemm_parts();
+    let graph = parts.dfg.graph();
+    let root_of = |r: &RouteInstance| {
+        let (src, _) = graph.edge_endpoints(r.edge);
+        graph[r.edge].signal(src)
+    };
+    let is_wire = |n: &RNode| matches!(n.kind, RKind::Wire(_));
+    // For some wire: the route that claims it first (the holder), an earlier
+    // route of a signal numbered above the holder's, and a later route of a
+    // third signal. Grafting the wire onto those two makes first-claim
+    // order earlier, holder, later — not ascending.
+    let graft = |first_claim: usize| {
+        let holder_root = root_of(&parts.routes[first_claim]);
+        let (earlier, earlier_root) = parts.routes[..first_claim]
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (i, root_of(r)))
+            .find(|&(i, root)| root > holder_root && parts.routes[i].steps.len() >= 2)?;
+        let (later, later_root) = parts
+            .routes
+            .iter()
+            .enumerate()
+            .skip(first_claim + 1)
+            .map(|(i, r)| (i, root_of(r)))
+            .find(|&(i, root)| {
+                root != holder_root && root != earlier_root && parts.routes[i].steps.len() >= 2
+            })?;
+        Some(([earlier, later], [earlier_root, holder_root, later_root]))
+    };
+    let (wire_step, grafted, roots) = parts
+        .routes
+        .iter()
+        .enumerate()
+        .filter_map(|(i, r)| Some((i, *r.steps.iter().find(|(n, _)| is_wire(n))?)))
+        .filter(|&(i, (wire, _))| {
+            parts.routes[..i].iter().all(|r| r.steps.iter().all(|&(n, _)| n != wire))
+        })
+        .find_map(|(i, step)| graft(i).map(|(grafted, roots)| (step, grafted, roots)))
+        .expect("a wire with routes of other signals on both sides of its holder");
+    for i in grafted {
+        parts.routes[i].steps.insert(1, wire_step);
+    }
+    let mapping = Mapping::from_parts(parts);
+    let report = verify_mapping(&mapping);
+    let want =
+        format!("signals n{}, n{}, n{}", roots[0].index(), roots[1].index(), roots[2].index());
+    let diag = report
+        .diags()
+        .iter()
+        .find(|d| d.code == Code::V001 && d.locus.resource == Some(wire_step.0))
+        .unwrap_or_else(|| panic!("no V001 on {:?}:\n{}", wire_step.0, report.render_pretty()));
+    assert_eq!(diag.notes, vec![want], "{}", report.render_pretty());
+    assert_report_digest(&mapping, 0x9bef6c47e7208dbb);
 }
 
 #[test]
@@ -134,6 +212,7 @@ fn mul_on_alu_only_pe_is_v007() {
         "capability violation must not masquerade as a fault:\n{}",
         report.render_pretty()
     );
+    assert_report_digest(&mapping, 0x247b26cce8214891);
 }
 
 #[test]
@@ -146,7 +225,9 @@ fn shifted_route_cycle_is_v002() {
     for step in &mut route.steps {
         step.1 += 1;
     }
-    assert_error(&Mapping::from_parts(parts), Code::V002);
+    let mapping = Mapping::from_parts(parts);
+    assert_error(&mapping, Code::V002);
+    assert_report_digest(&mapping, 0xc5c629b2d4876f1d);
 }
 
 #[test]
@@ -158,7 +239,9 @@ fn dropped_hop_is_v002() {
         .find(|r| r.steps.len() >= 3)
         .expect("some route has an intermediate hop");
     route.steps.remove(1);
-    assert_error(&Mapping::from_parts(parts), Code::V002);
+    let mapping = Mapping::from_parts(parts);
+    assert_error(&mapping, Code::V002);
+    assert_report_digest(&mapping, 0x683c00bb4c9f3d01);
 }
 
 #[test]
@@ -183,6 +266,55 @@ fn route_to_wrong_consumer_cycle_is_v003() {
         "a pure schedule shift must be attributed to V003 alone:\n{}",
         report.render_pretty()
     );
+    assert_report_digest(&mapping, 0x87aba24e82dfa3bc);
+}
+
+#[test]
+fn live_in_load_delayed_past_its_writer_is_v003() {
+    // Jacobi-style stencil a[i][j] = a[i][j-1] + a[i][j+1]: the east read
+    // is an anti-dependence, so its load must issue no later than one
+    // cycle after the op that overwrites the element.
+    use himap_repro::kernels::{AffineExpr, ArrayRef, Expr, KernelBuilder, OpKind};
+    let d = 2;
+    let mut b = KernelBuilder::new("jacobi", d);
+    let a = b.array("a", 2);
+    let (i, j) = (AffineExpr::var(0, d), AffineExpr::var(1, d));
+    b.stmt(
+        ArrayRef::new(a, vec![i.clone(), j]),
+        Expr::binary(
+            OpKind::Add,
+            Expr::Read(ArrayRef::new(a, vec![i.clone(), AffineExpr::new(vec![0, 1], -1)])),
+            Expr::Read(ArrayRef::new(a, vec![i, AffineExpr::new(vec![0, 1], 1)])),
+        ),
+    );
+    let kernel = b.build().expect("well-formed");
+    let mut parts = map(&kernel, 4).into_parts();
+    let &(reader, writer) = parts.dfg.anti_deps().first().expect("jacobi has anti-dependences");
+    let w_abs = parts.op_slots[&writer].abs;
+    let iib = parts.stats.iib as i64;
+    // Delay one of the reader's routes by whole modulo windows until its
+    // load issues after the writer's store is visible. Its resources and
+    // hop latencies are unchanged, so only the schedule (V003) breaks.
+    let graph = parts.dfg.graph();
+    let ri = parts
+        .routes
+        .iter()
+        .position(|r| graph.edge_endpoints(r.edge).0 == reader)
+        .expect("the reader is routed");
+    let first_abs = parts.routes[ri].steps[0].1;
+    let windows = (w_abs + 2 - first_abs).max(0) / iib + 1;
+    for step in &mut parts.routes[ri].steps {
+        step.1 += windows * iib;
+    }
+    let mapping = Mapping::from_parts(parts);
+    let report = verify_mapping(&mapping);
+    let needle = format!("after writer n{}", writer.index());
+    assert!(
+        report.diags().iter().any(|d| d.code == Code::V003 && d.message.contains(&needle)),
+        "expected a V003 anti-dependence error:\n{}",
+        report.render_pretty()
+    );
+    assert_report_digest(&mapping, 0x6f027118176c143f);
 }
 
 #[test]
@@ -191,8 +323,10 @@ fn register_overflow_is_v004() {
     let rf_size = parts.spec.rf_size as u8;
     let route = parts.routes.iter_mut().find(|r| r.steps.len() >= 3).expect("multi-step route");
     // Park an intermediate step in a register beyond the register file.
-    route.steps[1].0.kind = himap_repro::cgra::RKind::Reg(rf_size + 2);
-    assert_error(&Mapping::from_parts(parts), Code::V004);
+    route.steps[1].0.kind = RKind::Reg(rf_size + 2);
+    let mapping = Mapping::from_parts(parts);
+    assert_error(&mapping, Code::V004);
+    assert_report_digest(&mapping, 0x8ba5ca541fe4cc89);
 }
 
 #[test]
@@ -203,7 +337,7 @@ fn rf_port_oversubscription_is_v004() {
     // than it has ports. Using existing edges keeps route coverage happy.
     let donor = parts.routes.first().expect("routes exist").clone();
     let (pe, t) = (donor.steps[0].0.pe, donor.steps[0].0.t);
-    let port = himap_repro::cgra::RNode::new(pe, t, himap_repro::cgra::RKind::RegWr);
+    let port = RNode::new(pe, t, RKind::RegWr);
     let mut corrupted = Vec::new();
     for route in parts.routes.iter_mut().take(spec.rf_ports + 1) {
         route.steps.insert(1, (port, route.steps[0].1));
@@ -219,29 +353,36 @@ fn rf_port_oversubscription_is_v004() {
         corrupted.len(),
         report.render_pretty()
     );
+    assert_report_digest(&mapping, 0xa6ddf0cf41383553);
 }
 
 #[test]
 fn config_memory_overflow_is_v005() {
     let mut parts = gemm_parts();
     parts.spec.config_mem_depth = 0;
-    assert_error(&Mapping::from_parts(parts), Code::V005);
+    let mapping = Mapping::from_parts(parts);
+    assert_error(&mapping, Code::V005);
+    assert_report_digest(&mapping, 0x5dbbfd6e8c92ad08);
 }
 
 #[test]
 fn stale_bookkeeping_is_w103() {
     let mut parts = gemm_parts();
     parts.stats.max_config_slots += 3;
-    let report = verify_mapping(&Mapping::from_parts(parts));
+    let mapping = Mapping::from_parts(parts);
+    let report = verify_mapping(&mapping);
     assert!(!report.has_errors(), "bookkeeping drift is a warning, not an error");
     assert!(report.has_code(Code::W103), "{}", report.render_pretty());
+    assert_report_digest(&mapping, 0xb40f17629dc437fb);
 }
 
 #[test]
 fn missing_route_is_v002() {
     let mut parts = gemm_parts();
     parts.routes.pop();
-    assert_error(&Mapping::from_parts(parts), Code::V002);
+    let mapping = Mapping::from_parts(parts);
+    assert_error(&mapping, Code::V002);
+    assert_report_digest(&mapping, 0xe641d771d9b2d40c);
 }
 
 // ------------------------------------------------------------------ hook
