@@ -162,10 +162,18 @@ stage "consolidated bench gate" \
 # Exact-oracle gate: certify minimal IIs on the tuned 4x4 blocks and print
 # the optimality-gap table (EXPERIMENTS.md). The binary exits non-zero when
 # fewer than four suite kernels certify; the per-kernel budget time-boxes
-# the sweep (~10 s total, 6/8 certified on the committed blocks).
+# the sweep (~4 s total on a 2-vCPU VM, 6/8 certified on the committed
+# blocks).
 stage "exact oracle sweep (4x4)" \
   cargo run -q -p himap-exact --release --bin exact_oracle -- \
     --size 4 --budget-secs 20
+
+# Pinned oracle search on gemm and ttm: certificate, mapping digest and the
+# CDCL decision/conflict/propagation counts must equal the goldens in
+# crates/exact/tests/search_goldens.rs (the six fast kernels run in the
+# default test stages). A solver change that alters the search fails here.
+stage "exact oracle search goldens" \
+  cargo test --release -q -p himap-exact --test search_goldens -- --ignored
 
 # Heterogeneous oracle gate: re-certify on the capability-restricted 4x4
 # and fail if the restricted CNF ever certifies a *lower* II than the

@@ -3,7 +3,8 @@
 //! For every suite kernel that fits the oracle (a 2-wide block per
 //! dimension, compute ops under the oracle cap), certifies the minimal II
 //! on an NxN array and compares it with the II HiMap achieves on the same
-//! kernel. Emits the markdown table recorded in `EXPERIMENTS.md`.
+//! kernel. Emits the markdown table recorded in `EXPERIMENTS.md`, with the
+//! SAT models the CEGAR loop tried and its solve / lower-and-verify split.
 //!
 //! ```text
 //! exact_oracle [--size N] [--budget-secs S] [--kernels a,b,c] [--heterogeneous]
@@ -68,9 +69,9 @@ fn main() {
     println!("# Optimality gap — exact oracle vs HiMap on {size}x{size}\n");
     println!(
         "| kernel | block | static MII | exact II | lower bound | certified | HiMap II | gap | \
-         oracle time |"
+         oracle time | models | solve / lower |"
     );
-    println!("|---|---|---|---|---|---|---|---|---|");
+    println!("|---|---|---|---|---|---|---|---|---|---|---|");
 
     let mut certified_count = 0usize;
     let mut attempted = 0usize;
@@ -115,8 +116,9 @@ fn main() {
                     Ok(ii) => (ii.to_string(), (ii as i64 - cert.lower_bound as i64).to_string()),
                     Err(_) => ("—".to_string(), "—".to_string()),
                 };
+                let stats = result.stats;
                 println!(
-                    "| {} | {} | {} | {} | {} | {} | {} | {} | {:.1?} |",
+                    "| {} | {} | {} | {} | {} | {} | {} | {} | {:.1?} | {} | {:.1?} / {:.1?} |",
                     kernel.name(),
                     block_str,
                     static_mii,
@@ -126,6 +128,9 @@ fn main() {
                     himap_col,
                     gap_col,
                     oracle_time,
+                    stats.models,
+                    stats.solve,
+                    stats.lower,
                 );
             }
             Err(err) => {
@@ -134,7 +139,7 @@ fn main() {
                     other => other.to_string(),
                 };
                 println!(
-                    "| {} | {} | {static_mii} | — | — | no ({cause}) | {} | — | {:.1?} |",
+                    "| {} | {} | {static_mii} | — | — | no ({cause}) | {} | — | {:.1?} | — | — |",
                     kernel.name(),
                     block_str,
                     himap_ii.map(|ii| ii.to_string()).unwrap_or_else(|_| "—".to_string()),

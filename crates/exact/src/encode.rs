@@ -47,7 +47,7 @@ use himap_dfg::{Dfg, EdgeKind, NodeKind};
 use himap_graph::NodeId;
 use himap_kernels::OpKind;
 
-use crate::sat::{at_most_one, Lit, Solver};
+use crate::sat::{at_most_one, ClauseSink, Lit, Solver};
 
 /// Why a DFG/spec pair could not be encoded.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -104,8 +104,11 @@ pub struct Encoding {
     /// Healthy PEs, densely indexed (variable layout order).
     pub pes: Vec<PeId>,
     num_base: usize,
-    next_var: u32,
-    clauses: Vec<Vec<Lit>>,
+    /// Clauses encoded (the solver drops tautologies and level-0 units
+    /// from its own store, so it cannot count them).
+    num_clauses: usize,
+    /// A solver loaded with the encoding's clauses and nothing else.
+    base: Solver,
 }
 
 impl Encoding {
@@ -117,26 +120,35 @@ impl Encoding {
 
     /// Total variables (placement + auxiliaries).
     pub fn num_vars(&self) -> usize {
-        self.next_var as usize
+        self.base.num_vars()
     }
 
-    /// Number of clauses.
+    /// Number of clauses encoded.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.num_clauses
     }
 
-    /// Builds a fresh solver loaded with this encoding plus any
-    /// accumulated blocking clauses (the CEGAR loop re-solves from
-    /// scratch; instances are small and the solver is not incremental).
+    /// A solver loaded with this encoding plus the accumulated blocking
+    /// clauses (see [`Encoding::load`]).
     pub fn solver(&self, blocked: &[Vec<Lit>]) -> Solver {
-        let mut solver = Solver::new(self.num_vars());
-        for clause in &self.clauses {
-            solver.add_clause(clause);
-        }
+        let mut solver = Solver::new(0);
+        self.load(&mut solver, blocked);
+        solver
+    }
+
+    /// Replaces whatever `solver` held with this encoding plus the
+    /// accumulated blocking clauses, reusing its buffers. The encoding's
+    /// clauses were loaded once, into a base solver, when it was built;
+    /// this copies that base and adds `blocked`. Loading is deterministic,
+    /// so the copy is in the same state as a solver built from the same
+    /// clauses, and its search is the same. Each CEGAR model's search
+    /// still starts cold: nothing learnt while solving for one model
+    /// carries over to the next.
+    pub fn load(&self, solver: &mut Solver, blocked: &[Vec<Lit>]) {
+        solver.clone_from(&self.base);
         for clause in blocked {
             solver.add_clause(clause);
         }
-        solver
     }
 
     /// Reads a model back into an op → (PE, cycle) placement.
@@ -178,6 +190,17 @@ impl Encoding {
             }
         }
         clause
+    }
+}
+
+impl ClauseSink for Encoding {
+    fn add_clause(&mut self, lits: &[Lit]) {
+        self.num_clauses += 1;
+        self.base.add_clause(lits);
+    }
+
+    fn new_var(&mut self) -> u32 {
+        self.base.new_var()
     }
 }
 
@@ -293,15 +316,8 @@ pub fn encode(
     }
 
     let op_index: HashMap<NodeId, usize> = ops.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-    let mut enc = Encoding {
-        ii,
-        horizon,
-        ops,
-        pes,
-        num_base,
-        next_var: num_base as u32,
-        clauses: Vec::new(),
-    };
+    let mut enc =
+        Encoding { ii, horizon, ops, pes, num_base, num_clauses: 0, base: Solver::new(num_base) };
 
     // Exactly-one slot per op, over capability-legal PEs only. Variables
     // on PEs whose op-class set excludes the op are pinned false by unit
@@ -315,12 +331,12 @@ pub fn encode(
                 all.extend((0..enc.horizon).map(|a| Lit::pos(enc.var(oi, pi, a))));
             } else {
                 for a in 0..enc.horizon {
-                    enc.clauses.push(vec![Lit::pos(enc.var(oi, pi, a)).negated()]);
+                    enc.add_clause(&[Lit::pos(enc.var(oi, pi, a)).negated()]);
                 }
             }
         }
-        enc.clauses.push(all.clone());
-        at_most_one(&mut enc.clauses, &all, &mut enc.next_var);
+        enc.add_clause(&all);
+        at_most_one(&mut enc, &all);
     }
 
     // FU slot exclusivity: at most one (op, abs) pair per (pe, abs mod II).
@@ -330,7 +346,7 @@ pub fn encode(
                 .flat_map(|oi| (tmod..enc.horizon).step_by(ii).map(move |a| (oi, a)))
                 .map(|(oi, a)| Lit::pos(enc.var(oi, pi, a)))
                 .collect();
-            at_most_one(&mut enc.clauses, &group, &mut enc.next_var);
+            at_most_one(&mut enc, &group);
         }
     }
 
@@ -368,7 +384,7 @@ pub fn encode(
                             }
                         }
                     }
-                    enc.clauses.push(clause);
+                    enc.add_clause(&clause);
                 }
             }
         }
@@ -390,7 +406,7 @@ pub fn encode(
                                 }
                             }
                         }
-                        enc.clauses.push(clause);
+                        enc.add_clause(&clause);
                     }
                 }
             }
@@ -412,7 +428,7 @@ pub fn encode(
                             clause.push(Lit::pos(enc.var(pi_op, pi, a)));
                         }
                     }
-                    enc.clauses.push(clause);
+                    enc.add_clause(&clause);
                 }
             }
         }
@@ -433,7 +449,7 @@ pub fn encode(
                             clause.push(Lit::pos(enc.var(wi, pi, a)));
                         }
                     }
-                    enc.clauses.push(clause);
+                    enc.add_clause(&clause);
                 }
             }
         }
@@ -447,14 +463,13 @@ pub fn encode(
         for pi in 0..enc.pes.len() {
             let mut indicators = Vec::with_capacity(enc.ops.len());
             for oi in 0..enc.ops.len() {
-                let y = Lit::pos(enc.next_var);
-                enc.next_var += 1;
+                let y = Lit::pos(enc.new_var());
                 for a in 0..enc.horizon {
-                    enc.clauses.push(vec![Lit::pos(enc.var(oi, pi, a)).negated(), y]);
+                    enc.add_clause(&[Lit::pos(enc.var(oi, pi, a)).negated(), y]);
                 }
                 indicators.push(y);
             }
-            at_most_k(&mut enc.clauses, &indicators, spec.config_mem_depth, &mut enc.next_var);
+            at_most_k(&mut enc, &indicators, spec.config_mem_depth);
         }
     }
 
@@ -467,21 +482,21 @@ pub fn encode(
         })
         .map(|(oi, pi, a)| Lit::pos(enc.var(oi, pi, a)))
         .collect();
-    enc.clauses.push(anchor);
+    enc.add_clause(&anchor);
 
     let _ = enc.num_base;
     Ok(enc)
 }
 
 /// At-most-`k` over `lits` via the Sinz sequential-counter encoding.
-fn at_most_k(clauses: &mut Vec<Vec<Lit>>, lits: &[Lit], k: usize, next_var: &mut u32) {
+fn at_most_k(cnf: &mut impl ClauseSink, lits: &[Lit], k: usize) {
     let n = lits.len();
     if n <= k {
         return;
     }
     if k == 0 {
         for &l in lits {
-            clauses.push(vec![l.negated()]);
+            cnf.add_clause(&[l.negated()]);
         }
         return;
     }
@@ -489,24 +504,23 @@ fn at_most_k(clauses: &mut Vec<Vec<Lit>>, lits: &[Lit], k: usize, next_var: &mut
     let mut s = vec![vec![Lit(0); k]; n - 1];
     for row in &mut s {
         for cell in row.iter_mut() {
-            *cell = Lit::pos(*next_var);
-            *next_var += 1;
+            *cell = Lit::pos(cnf.new_var());
         }
     }
-    clauses.push(vec![lits[0].negated(), s[0][0]]);
+    cnf.add_clause(&[lits[0].negated(), s[0][0]]);
     for &cell in s[0].iter().skip(1) {
-        clauses.push(vec![cell.negated()]);
+        cnf.add_clause(&[cell.negated()]);
     }
     for i in 1..n - 1 {
-        clauses.push(vec![lits[i].negated(), s[i][0]]);
-        clauses.push(vec![s[i - 1][0].negated(), s[i][0]]);
+        cnf.add_clause(&[lits[i].negated(), s[i][0]]);
+        cnf.add_clause(&[s[i - 1][0].negated(), s[i][0]]);
         for j in 1..k {
-            clauses.push(vec![lits[i].negated(), s[i - 1][j - 1].negated(), s[i][j]]);
-            clauses.push(vec![s[i - 1][j].negated(), s[i][j]]);
+            cnf.add_clause(&[lits[i].negated(), s[i - 1][j - 1].negated(), s[i][j]]);
+            cnf.add_clause(&[s[i - 1][j].negated(), s[i][j]]);
         }
-        clauses.push(vec![lits[i].negated(), s[i - 1][k - 1].negated()]);
+        cnf.add_clause(&[lits[i].negated(), s[i - 1][k - 1].negated()]);
     }
-    clauses.push(vec![lits[n - 1].negated(), s[n - 2][k - 1].negated()]);
+    cnf.add_clause(&[lits[n - 1].negated(), s[n - 2][k - 1].negated()]);
 }
 
 /// A default horizon: the longest dependence chain (memory hops weighted

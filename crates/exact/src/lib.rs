@@ -39,6 +39,7 @@ pub mod sat;
 
 use std::collections::HashMap;
 use std::fmt;
+use std::time::{Duration, Instant};
 
 use himap_cgra::{CgraSpec, PeId};
 use himap_core::{route_placement, Backend, BackendError, LowerError, MapRequest, Mapping};
@@ -95,6 +96,37 @@ pub struct Certificate {
     pub horizon: usize,
 }
 
+/// Work and time the oracle spent, summed over every II it tried.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ExactStats {
+    /// CDCL solves run (one per SAT model or refutation).
+    pub solves: u64,
+    /// SAT models decoded and handed to lowering.
+    pub models: u64,
+    /// CDCL decisions, summed over solves.
+    pub decisions: u64,
+    /// CDCL conflicts, summed over solves.
+    pub conflicts: u64,
+    /// Literals propagated, summed over solves.
+    pub propagations: u64,
+    /// Time building the CNF encodings.
+    pub encode: Duration,
+    /// Time inside [`Solver::solve`] (and loading its clauses).
+    pub solve: Duration,
+    /// Time routing and verifying models.
+    pub lower: Duration,
+}
+
+impl ExactStats {
+    /// Adds one finished solve's counters.
+    fn record(&mut self, solver: &Solver) {
+        self.solves += 1;
+        self.decisions += solver.decisions;
+        self.conflicts += solver.conflicts;
+        self.propagations += solver.propagations;
+    }
+}
+
 /// A mapping found by the oracle plus its optimality certificate.
 #[derive(Clone, Debug)]
 pub struct ExactResult {
@@ -102,6 +134,8 @@ pub struct ExactResult {
     pub mapping: Mapping,
     /// What was proved about its II.
     pub certificate: Certificate,
+    /// What finding it cost.
+    pub stats: ExactStats,
 }
 
 /// Why the oracle produced no mapping.
@@ -215,13 +249,16 @@ pub fn minimal_ii(
     let mut lower_bound = mii;
     let mut all_lower_refuted = true;
     let mut last_horizon = 0;
+    let mut stats = ExactStats::default();
     for ii in mii..=mii + options.max_ii_span {
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return Err(cancel_error(cancel));
         }
         let horizon = default_horizon(dfg, ii) + options.horizon_slack;
         last_horizon = horizon;
+        let started = Instant::now();
         let encoding = encode(dfg, spec, ii, horizon)?;
+        stats.encode += started.elapsed();
         let mut blocked: Vec<Vec<Lit>> = Vec::new();
         let mut decided = false;
         // CEGAR escalation: a full-placement blocking clause excludes one
@@ -233,9 +270,16 @@ pub fn minimal_ii(
         // of an upper II — the `blocked.is_empty()` guard below keeps
         // lower-bound refutations sound regardless.
         let mut edge_failures: HashMap<EdgeSlotKey, usize> = HashMap::new();
+        // One working solver per II: each model reloads it from the
+        // encoding's base, reusing the buffers of the last.
+        let mut solver = Solver::new(0);
         for _ in 0..options.model_budget.max(1) {
-            let mut solver = encoding.solver(&blocked);
-            match solver.solve(cancel) {
+            let started = Instant::now();
+            encoding.load(&mut solver, &blocked);
+            let outcome = solver.solve(cancel);
+            stats.solve += started.elapsed();
+            stats.record(&solver);
+            match outcome {
                 SolveResult::Cancelled => return Err(cancel_error(cancel)),
                 SolveResult::Unsat => {
                     if blocked.is_empty() {
@@ -255,7 +299,11 @@ pub fn minimal_ii(
                 }
                 SolveResult::Sat(model) => {
                     let placement = encoding.decode(&model)?;
-                    match lower(dfg, spec, ii, &placement, options, cancel) {
+                    stats.models += 1;
+                    let started = Instant::now();
+                    let lowered = lower(dfg, spec, ii, &placement, options, cancel);
+                    stats.lower += started.elapsed();
+                    match lowered {
                         Ok(mapping) => {
                             return Ok(ExactResult {
                                 mapping,
@@ -265,6 +313,7 @@ pub fn minimal_ii(
                                     certified: all_lower_refuted && lower_bound == ii,
                                     horizon,
                                 },
+                                stats,
                             });
                         }
                         Err(LowerError::Cancelled) => return Err(cancel_error(cancel)),

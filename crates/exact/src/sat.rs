@@ -3,9 +3,10 @@
 //! The build environment is fully offline, so no solver crate can be pulled
 //! in; this is a compact conflict-driven clause-learning solver with the
 //! standard machinery — two watched literals, first-UIP conflict analysis
-//! with backjumping, VSIDS-style activity decisions with phase saving, and
-//! geometric restarts. It is sized for the exact backend's encodings (10³–
-//! 10⁵ variables, 10⁴–10⁶ clauses), not for competition instances.
+//! with backjumping, VSIDS-style activity decisions (taken from an order
+//! heap) with phase saving, and geometric restarts. Clauses live in one
+//! flat arena. It is sized for the exact backend's encodings (10³–10⁵
+//! variables, 10⁴–10⁶ clauses), not for competition instances.
 //!
 //! Cancellation is cooperative: the caller's [`CancelToken`] is polled every
 //! few hundred conflicts and decisions, so a portfolio race can cut a losing
@@ -69,14 +70,27 @@ pub enum SolveResult {
     Cancelled,
 }
 
-/// Conflict-driven clause-learning solver over a fixed variable count.
+/// Conflict-driven clause-learning solver.
+///
+/// Cloning a loaded solver gives the same state as loading the same clauses
+/// into a fresh one, so a caller can load a base CNF once and clone it for
+/// each variant it solves; `clone_from` does so into an existing solver's
+/// buffers. A solver holds no watch lists until it first solves, so a base
+/// that is only ever copied costs its clauses, not their watches.
 pub struct Solver {
     num_vars: usize,
-    /// Clause database; learnt clauses are appended after the originals.
-    clauses: Vec<Vec<Lit>>,
+    /// Clause arena: clause `c` is `lits[starts[c]..starts[c + 1]]`;
+    /// learnt clauses are appended after the originals.
+    lits: Vec<Lit>,
+    starts: Vec<u32>,
     /// `watches[lit]`: clauses currently watching `lit`.
     watches: Vec<Vec<u32>>,
-    assign: Vec<Value>,
+    /// Clauses `0..attached` are registered in `watches`; `solve` attaches
+    /// the rest, in index order. While it is 0 every list is empty.
+    attached: usize,
+    /// `values[lit]`: the literal's truth value (both polarities are kept,
+    /// so reading a literal is one load).
+    values: Vec<Value>,
     /// Saved phase per variable (last assigned polarity).
     phase: Vec<bool>,
     level: Vec<u32>,
@@ -87,6 +101,12 @@ pub struct Solver {
     prop_head: usize,
     activity: Vec<f64>,
     act_inc: f64,
+    /// Decision order over the variables.
+    order: VarOrder,
+    /// Conflict-analysis marks; all false between conflicts.
+    seen: Vec<bool>,
+    /// The clause the last conflict analysis learnt.
+    learnt: Vec<Lit>,
     /// Level-0 contradiction discovered while loading clauses.
     unsat_on_load: bool,
     /// Statistics: conflicts seen (also the cancellation poll clock).
@@ -97,28 +117,179 @@ pub struct Solver {
     pub propagations: u64,
 }
 
+impl Clone for Solver {
+    fn clone(&self) -> Self {
+        let mut solver = Solver::new(0);
+        solver.clone_from(self);
+        solver
+    }
+
+    /// Field by field, so the target's buffers (the clause arena, every
+    /// watch list) are reused instead of allocated anew.
+    fn clone_from(&mut self, source: &Self) {
+        let Solver {
+            num_vars,
+            lits,
+            starts,
+            watches,
+            attached,
+            values,
+            phase,
+            level,
+            reason,
+            trail,
+            trail_lim,
+            prop_head,
+            activity,
+            act_inc,
+            order,
+            seen,
+            learnt,
+            unsat_on_load,
+            conflicts,
+            decisions,
+            propagations,
+        } = source;
+        self.num_vars = *num_vars;
+        self.lits.clone_from(lits);
+        self.starts.clone_from(starts);
+        if *attached == 0 {
+            // Nothing to copy: keep the lists' buffers for `attach`.
+            self.watches.iter_mut().for_each(Vec::clear);
+        } else {
+            self.watches.clone_from(watches);
+        }
+        self.attached = *attached;
+        self.values.clone_from(values);
+        self.phase.clone_from(phase);
+        self.level.clone_from(level);
+        self.reason.clone_from(reason);
+        self.trail.clone_from(trail);
+        self.trail_lim.clone_from(trail_lim);
+        self.prop_head = *prop_head;
+        self.activity.clone_from(activity);
+        self.act_inc = *act_inc;
+        self.order.heap.clone_from(&order.heap);
+        self.order.pos.clone_from(&order.pos);
+        self.seen.clone_from(seen);
+        self.learnt.clone_from(learnt);
+        self.unsat_on_load = *unsat_on_load;
+        self.conflicts = *conflicts;
+        self.decisions = *decisions;
+        self.propagations = *propagations;
+    }
+}
+
 /// Poll mask for cancellation inside the search loop.
 const CANCEL_MASK: u64 = 255;
 
-/// Literal value under an assignment — the free-function form of
-/// [`Solver::value_of`], so callers can split the struct borrow.
-fn lit_value(assign: &[Value], lit: Lit) -> Value {
-    match assign[lit.var() as usize] {
-        Value::Unassigned => Value::Unassigned,
-        Value::True => {
-            if lit.is_neg() {
-                Value::False
-            } else {
-                Value::True
-            }
+/// `VarOrder::pos` of a variable that is not in the heap.
+const NOT_IN_HEAP: u32 = u32::MAX;
+
+/// Binary max-heap of variables: higher activity first, ties to the lower
+/// index — so its top is the first maximum of a scan by index. Every
+/// unassigned variable is in it; assigned ones leave lazily when they
+/// reach the top.
+struct VarOrder {
+    heap: Vec<u32>,
+    /// `pos[var]`: the variable's slot in `heap`, or [`NOT_IN_HEAP`].
+    pos: Vec<u32>,
+}
+
+impl VarOrder {
+    /// All of `0..num_vars` at equal activity: ascending order is a heap.
+    fn new(num_vars: usize) -> VarOrder {
+        VarOrder { heap: (0..num_vars as u32).collect(), pos: (0..num_vars as u32).collect() }
+    }
+
+    /// Whether `a` is decided before `b`.
+    fn before(activity: &[f64], a: u32, b: u32) -> bool {
+        let (x, y) = (activity[a as usize], activity[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    fn top(&self) -> Option<u32> {
+        self.heap.first().copied()
+    }
+
+    fn contains(&self, var: u32) -> bool {
+        self.pos[var as usize] != NOT_IN_HEAP
+    }
+
+    /// Adds `var`, which must not be in the heap. `var` may be one past
+    /// the last variable known, which registers it.
+    fn insert(&mut self, activity: &[f64], var: u32) {
+        if var as usize == self.pos.len() {
+            self.pos.push(NOT_IN_HEAP);
         }
-        Value::False => {
-            if lit.is_neg() {
-                Value::True
-            } else {
-                Value::False
-            }
+        self.heap.push(var);
+        self.sift_up(activity, self.heap.len() - 1);
+    }
+
+    /// Removes the top.
+    fn pop(&mut self, activity: &[f64]) {
+        let top = self.heap.swap_remove(0);
+        self.pos[top as usize] = NOT_IN_HEAP;
+        if !self.heap.is_empty() {
+            self.sift_down(activity, 0);
         }
+    }
+
+    /// Restores the heap after `var`'s activity grew.
+    fn raised(&mut self, activity: &[f64], var: u32) {
+        if self.contains(var) {
+            self.sift_up(activity, self.pos[var as usize] as usize);
+        }
+    }
+
+    /// Restores the heap after every activity changed (a rescale can make
+    /// two keys equal, which reorders them by index).
+    fn rebuild(&mut self, activity: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(activity, i);
+        }
+    }
+
+    fn place(&mut self, i: usize, var: u32) {
+        self.heap[i] = var;
+        self.pos[var as usize] = i as u32;
+    }
+
+    fn sift_up(&mut self, activity: &[f64], mut i: usize) {
+        let var = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !Self::before(activity, var, self.heap[parent]) {
+                break;
+            }
+            self.place(i, self.heap[parent]);
+            i = parent;
+        }
+        self.place(i, var);
+    }
+
+    fn sift_down(&mut self, activity: &[f64], mut i: usize) {
+        let var = self.heap[i];
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len()
+                && Self::before(activity, self.heap[right], self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            if !Self::before(activity, self.heap[child], var) {
+                break;
+            }
+            self.place(i, self.heap[child]);
+            i = child;
+        }
+        self.place(i, var);
     }
 }
 
@@ -127,9 +298,11 @@ impl Solver {
     pub fn new(num_vars: usize) -> Solver {
         Solver {
             num_vars,
-            clauses: Vec::new(),
-            watches: vec![Vec::new(); num_vars * 2],
-            assign: vec![Value::Unassigned; num_vars],
+            lits: Vec::new(),
+            starts: vec![0],
+            watches: Vec::new(),
+            attached: 0,
+            values: vec![Value::Unassigned; num_vars * 2],
             phase: vec![false; num_vars],
             level: vec![0; num_vars],
             reason: vec![u32::MAX; num_vars],
@@ -138,6 +311,9 @@ impl Solver {
             prop_head: 0,
             activity: vec![0.0; num_vars],
             act_inc: 1.0,
+            order: VarOrder::new(num_vars),
+            seen: vec![false; num_vars],
+            learnt: Vec::new(),
             unsat_on_load: false,
             conflicts: 0,
             decisions: 0,
@@ -145,34 +321,39 @@ impl Solver {
         }
     }
 
+    /// Adds a fresh variable and returns it.
+    pub fn new_var(&mut self) -> u32 {
+        debug_assert!(self.trail_lim.is_empty(), "variables must be added before solving");
+        let var = self.num_vars as u32;
+        self.num_vars += 1;
+        self.values.extend([Value::Unassigned; 2]);
+        self.phase.push(false);
+        self.level.push(0);
+        self.reason.push(u32::MAX);
+        self.activity.push(0.0);
+        self.seen.push(false);
+        self.order.insert(&self.activity, var);
+        var
+    }
+
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
         self.num_vars
     }
 
-    /// Number of clauses (originals + learnt).
+    /// Number of clauses stored (originals of two or more literals, plus
+    /// learnt ones).
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.starts.len() - 1
     }
 
     fn value_of(&self, lit: Lit) -> Value {
-        match self.assign[lit.var() as usize] {
-            Value::Unassigned => Value::Unassigned,
-            Value::True => {
-                if lit.is_neg() {
-                    Value::False
-                } else {
-                    Value::True
-                }
-            }
-            Value::False => {
-                if lit.is_neg() {
-                    Value::True
-                } else {
-                    Value::False
-                }
-            }
-        }
+        self.values[lit.index()]
+    }
+
+    /// The arena range of clause `ci`.
+    fn span(&self, ci: u32) -> std::ops::Range<usize> {
+        self.starts[ci as usize] as usize..self.starts[ci as usize + 1] as usize
     }
 
     /// Adds a clause. Tautologies are dropped, duplicate literals deduped;
@@ -202,18 +383,39 @@ impl Solver {
                 }
             }
             _ => {
-                let idx = self.clauses.len() as u32;
-                self.watches[clause[0].negated().index()].push(idx);
-                self.watches[clause[1].negated().index()].push(idx);
-                self.clauses.push(clause);
+                self.store(&clause);
             }
         }
     }
 
+    /// Appends a clause of two or more literals to the arena; returns its
+    /// index.
+    fn store(&mut self, clause: &[Lit]) -> u32 {
+        let idx = self.num_clauses() as u32;
+        self.lits.extend_from_slice(clause);
+        assert!(u32::try_from(self.lits.len()).is_ok(), "clause arena exceeds u32 offsets");
+        self.starts.push(self.lits.len() as u32);
+        idx
+    }
+
+    /// Registers every stored clause not yet watched, in index order, under
+    /// its first two literals — the order in which watching each clause as
+    /// it is stored would have filled the lists.
+    fn attach(&mut self) {
+        self.watches.resize_with(self.num_vars * 2, Vec::new);
+        for ci in self.attached..self.num_clauses() {
+            let at = self.starts[ci] as usize;
+            self.watches[self.lits[at].negated().index()].push(ci as u32);
+            self.watches[self.lits[at + 1].negated().index()].push(ci as u32);
+        }
+        self.attached = self.num_clauses();
+    }
+
     fn enqueue(&mut self, lit: Lit, reason: u32) {
         let var = lit.var() as usize;
-        debug_assert_eq!(self.assign[var], Value::Unassigned);
-        self.assign[var] = if lit.is_neg() { Value::False } else { Value::True };
+        debug_assert_eq!(self.values[lit.index()], Value::Unassigned);
+        self.values[lit.index()] = Value::True;
+        self.values[lit.negated().index()] = Value::False;
         self.phase[var] = !lit.is_neg();
         self.level[var] = self.trail_lim.len() as u32;
         self.reason[var] = reason;
@@ -234,26 +436,28 @@ impl Solver {
             let mut conflict: Option<u32> = None;
             'clauses: for wi in 0..watchers.len() {
                 let ci = watchers[wi];
-                // Normalize: the falsified watch into position 1. Field
-                // borrows are split by hand (`lit_value` on `assign`) so
-                // the clause can stay mutably borrowed during the scan.
+                let span = self.span(ci);
+                // Normalize: the falsified watch into position 1. The
+                // clause stays mutably borrowed from `lits` during the
+                // scan, so values are read from the `values` field
+                // directly rather than through `value_of`.
                 let falsified = lit.negated();
                 {
-                    let clause = &mut self.clauses[ci as usize];
+                    let clause = &mut self.lits[span.clone()];
                     if clause[0] == falsified {
                         clause.swap(0, 1);
                     }
                     debug_assert_eq!(clause[1], falsified);
                     // Satisfied by the other watch: keep watching.
                     let first = clause[0];
-                    if lit_value(&self.assign, first) == Value::True {
+                    if self.values[first.index()] == Value::True {
                         watchers[keep] = ci;
                         keep += 1;
                         continue;
                     }
                     // Find a new watchable literal.
                     for k in 2..clause.len() {
-                        if lit_value(&self.assign, clause[k]) != Value::False {
+                        if self.values[clause[k].index()] != Value::False {
                             clause.swap(1, k);
                             let new_watch = clause[1];
                             self.watches[new_watch.negated().index()].push(ci);
@@ -262,7 +466,7 @@ impl Solver {
                     }
                 }
                 // No replacement: unit or conflict on the other watch.
-                let first = self.clauses[ci as usize][0];
+                let first = self.lits[span.start];
                 watchers[keep] = ci;
                 keep += 1;
                 match self.value_of(first) {
@@ -296,24 +500,28 @@ impl Solver {
                 *a *= 1e-100;
             }
             self.act_inc *= 1e-100;
+            self.order.rebuild(&self.activity);
+        } else {
+            self.order.raised(&self.activity, var);
         }
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first) and the backjump level.
-    fn analyze(&mut self, conflict: u32) -> (Vec<Lit>, u32) {
+    /// First-UIP conflict analysis. Leaves the learnt clause (asserting
+    /// literal first) in `self.learnt` and returns the backjump level.
+    fn analyze(&mut self, conflict: u32) -> u32 {
         let current = self.trail_lim.len() as u32;
-        let mut seen = vec![false; self.num_vars];
-        let mut learnt: Vec<Lit> = vec![Lit(0)]; // slot 0 for the UIP
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(Lit(0)); // slot 0 for the UIP
         let mut counter = 0usize;
         let mut clause_idx = conflict;
         let mut trail_pos = self.trail.len();
         let mut uip = Lit(0);
         loop {
-            for k in 0..self.clauses[clause_idx as usize].len() {
-                let lit = self.clauses[clause_idx as usize][k];
+            for k in self.span(clause_idx) {
+                let lit = self.lits[k];
                 let var = lit.var();
-                if seen[var as usize] || self.level[var as usize] == 0 {
+                if self.seen[var as usize] || self.level[var as usize] == 0 {
                     continue;
                 }
                 // Skip the UIP literal itself on reason clauses (it is the
@@ -321,7 +529,7 @@ impl Solver {
                 if clause_idx != conflict && lit == uip {
                     continue;
                 }
-                seen[var as usize] = true;
+                self.seen[var as usize] = true;
                 self.bump(var);
                 if self.level[var as usize] == current {
                     counter += 1;
@@ -332,12 +540,12 @@ impl Solver {
             // Walk the trail backwards to the next marked literal.
             loop {
                 trail_pos -= 1;
-                if seen[self.trail[trail_pos].var() as usize] {
+                if self.seen[self.trail[trail_pos].var() as usize] {
                     break;
                 }
             }
             uip = self.trail[trail_pos];
-            seen[uip.var() as usize] = false;
+            self.seen[uip.var() as usize] = false;
             counter -= 1;
             if counter == 0 {
                 break;
@@ -346,6 +554,11 @@ impl Solver {
             debug_assert_ne!(clause_idx, u32::MAX, "non-UIP literal without a reason");
         }
         learnt[0] = uip.negated();
+        // Every current-level mark was cleared on the trail walk; the
+        // lower-level ones are exactly the other learnt literals.
+        for lit in &learnt[1..] {
+            self.seen[lit.var() as usize] = false;
+        }
         // Backjump level: the highest level among the other literals.
         let mut back = 0u32;
         let mut swap_to = 1usize;
@@ -359,7 +572,8 @@ impl Solver {
         if learnt.len() > 1 {
             learnt.swap(1, swap_to);
         }
-        (learnt, back)
+        self.learnt = learnt;
+        back
     }
 
     fn backtrack(&mut self, to_level: u32) {
@@ -367,26 +581,29 @@ impl Solver {
             let mark = self.trail_lim.pop().unwrap_or(0);
             while self.trail.len() > mark {
                 if let Some(lit) = self.trail.pop() {
-                    self.assign[lit.var() as usize] = Value::Unassigned;
-                    self.reason[lit.var() as usize] = u32::MAX;
+                    let var = lit.var();
+                    self.values[lit.index()] = Value::Unassigned;
+                    self.values[lit.negated().index()] = Value::Unassigned;
+                    self.reason[var as usize] = u32::MAX;
+                    if !self.order.contains(var) {
+                        self.order.insert(&self.activity, var);
+                    }
                 }
             }
         }
-        self.prop_head = self.trail.len().min(self.prop_head);
         self.prop_head = self.trail.len();
     }
 
+    /// The unassigned variable of highest activity (lowest index among
+    /// equals), in its saved phase.
     fn decide(&mut self) -> Option<Lit> {
-        let mut best: Option<(f64, u32)> = None;
-        for var in 0..self.num_vars as u32 {
-            if self.assign[var as usize] == Value::Unassigned {
-                let act = self.activity[var as usize];
-                if best.is_none_or(|(b, _)| act > b) {
-                    best = Some((act, var));
-                }
+        while let Some(var) = self.order.top() {
+            if self.values[Lit::pos(var).index()] == Value::Unassigned {
+                return Some(if self.phase[var as usize] { Lit::pos(var) } else { Lit::neg(var) });
             }
+            self.order.pop(&self.activity);
         }
-        best.map(|(_, var)| if self.phase[var as usize] { Lit::pos(var) } else { Lit::neg(var) })
+        None
     }
 
     /// Runs the CDCL search to completion (or cancellation).
@@ -397,6 +614,7 @@ impl Solver {
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return SolveResult::Cancelled;
         }
+        self.attach();
         // Propagate the level-0 units accumulated by `add_clause`.
         if self.propagate().is_some() {
             return SolveResult::Unsat;
@@ -415,11 +633,11 @@ impl Solver {
                 if self.trail_lim.is_empty() {
                     return SolveResult::Unsat;
                 }
-                let (learnt, back) = self.analyze(conflict);
+                let back = self.analyze(conflict);
                 self.backtrack(back);
                 self.act_inc *= 1.0 / 0.95;
-                let assert_lit = learnt[0];
-                if learnt.len() == 1 {
+                let assert_lit = self.learnt[0];
+                if self.learnt.len() == 1 {
                     debug_assert!(self.trail_lim.is_empty());
                     if self.value_of(assert_lit) == Value::False {
                         return SolveResult::Unsat;
@@ -428,10 +646,10 @@ impl Solver {
                         self.enqueue(assert_lit, u32::MAX);
                     }
                 } else {
-                    let idx = self.clauses.len() as u32;
-                    self.watches[learnt[0].negated().index()].push(idx);
-                    self.watches[learnt[1].negated().index()].push(idx);
-                    self.clauses.push(learnt);
+                    let learnt = std::mem::take(&mut self.learnt);
+                    let idx = self.store(&learnt);
+                    self.learnt = learnt;
+                    self.attach();
                     self.enqueue(assert_lit, idx);
                 }
             } else {
@@ -444,7 +662,7 @@ impl Solver {
                 match self.decide() {
                     None => {
                         let model: Vec<bool> =
-                            self.assign.iter().map(|&v| v == Value::True).collect();
+                            self.values.iter().step_by(2).map(|&v| v == Value::True).collect();
                         return SolveResult::Sat(model);
                     }
                     Some(lit) => {
@@ -463,17 +681,36 @@ impl Solver {
     }
 }
 
+/// Where the cardinality encodings put their clauses and get their
+/// auxiliary variables.
+pub trait ClauseSink {
+    /// Adds a clause.
+    fn add_clause(&mut self, lits: &[Lit]);
+    /// A fresh variable.
+    fn new_var(&mut self) -> u32;
+}
+
+impl ClauseSink for Solver {
+    fn add_clause(&mut self, lits: &[Lit]) {
+        Solver::add_clause(self, lits);
+    }
+
+    fn new_var(&mut self) -> u32 {
+        Solver::new_var(self)
+    }
+}
+
 /// At-most-one over `lits` via the sequential (ladder) encoding: `n − 1`
 /// auxiliary commander variables and `~3n` binary clauses instead of the
-/// quadratic pairwise encoding. Fresh variables are taken from `next_var`.
-pub fn at_most_one(solver_clauses: &mut Vec<Vec<Lit>>, lits: &[Lit], next_var: &mut u32) {
+/// quadratic pairwise encoding.
+pub fn at_most_one(cnf: &mut impl ClauseSink, lits: &[Lit]) {
     if lits.len() <= 1 {
         return;
     }
     if lits.len() <= 4 {
         for (i, &a) in lits.iter().enumerate() {
             for &b in &lits[i + 1..] {
-                solver_clauses.push(vec![a.negated(), b.negated()]);
+                cnf.add_clause(&[a.negated(), b.negated()]);
             }
         }
         return;
@@ -483,19 +720,18 @@ pub fn at_most_one(solver_clauses: &mut Vec<Vec<Lit>>, lits: &[Lit], next_var: &
     for (i, &lit) in lits.iter().enumerate() {
         if i + 1 == lits.len() {
             if let Some(s) = prev {
-                solver_clauses.push(vec![s.negated(), lit.negated()]);
+                cnf.add_clause(&[s.negated(), lit.negated()]);
             }
             break;
         }
-        let s = Lit::pos(*next_var);
-        *next_var += 1;
+        let s = Lit::pos(cnf.new_var());
         // lit -> s
-        solver_clauses.push(vec![lit.negated(), s]);
+        cnf.add_clause(&[lit.negated(), s]);
         if let Some(p) = prev {
             // s_{i-1} -> s_i
-            solver_clauses.push(vec![p.negated(), s]);
+            cnf.add_clause(&[p.negated(), s]);
             // s_{i-1} -> ¬lit_i
-            solver_clauses.push(vec![p.negated(), lit.negated()]);
+            cnf.add_clause(&[p.negated(), lit.negated()]);
         }
         prev = Some(s);
     }
@@ -556,6 +792,110 @@ mod tests {
             }
         }
         assert_eq!(s.solve(None), SolveResult::Unsat);
+    }
+
+    /// Pigeonhole `pigeons → holes`, loaded but not solved.
+    fn pigeonhole(pigeons: u32, holes: u32) -> Solver {
+        let x = |p: u32, h: u32| Lit::pos(p * holes + h);
+        let mut s = Solver::new((pigeons * holes) as usize);
+        for p in 0..pigeons {
+            let clause: Vec<Lit> = (0..holes).map(|h| x(p, h)).collect();
+            s.add_clause(&clause);
+        }
+        for h in 0..holes {
+            for p1 in 0..pigeons {
+                for p2 in p1 + 1..pigeons {
+                    s.add_clause(&[x(p1, h).negated(), x(p2, h).negated()]);
+                }
+            }
+        }
+        s
+    }
+
+    /// Solves to Unsat; returns the (decisions, conflicts, propagations).
+    fn unsat_counters(s: &mut Solver) -> (u64, u64, u64) {
+        assert_eq!(s.solve(None), SolveResult::Unsat);
+        (s.decisions, s.conflicts, s.propagations)
+    }
+
+    fn pigeonhole_counters(pigeons: u32, holes: u32) -> (u64, u64, u64) {
+        unsat_counters(&mut pigeonhole(pigeons, holes))
+    }
+
+    #[test]
+    fn a_solver_reloaded_by_clone_from_repeats_the_search() {
+        // Copying a loaded solver over one that has already searched a
+        // different (larger) instance must leave nothing of that search.
+        let fresh = pigeonhole_counters(6, 5);
+        let base = pigeonhole(6, 5);
+        assert_eq!(unsat_counters(&mut base.clone()), fresh);
+        let mut reused = pigeonhole(8, 7);
+        unsat_counters(&mut reused);
+        reused.clone_from(&base);
+        assert_eq!(unsat_counters(&mut reused), fresh);
+    }
+
+    // The search is deterministic, so its counters pin it: a change to the
+    // solver's data structures that moves any of them changed the search.
+    #[test]
+    fn pigeonhole_eight_into_seven_search_is_pinned() {
+        assert_eq!(pigeonhole_counters(8, 7), (4_098, 3_484, 41_373));
+    }
+
+    /// 13,361 conflicts cross the `1e100` activity rescale (about every
+    /// 4,490 conflicts) twice, so this also pins decisions across rescales.
+    #[test]
+    fn pigeonhole_nine_into_eight_search_is_pinned() {
+        assert_eq!(pigeonhole_counters(9, 8), (15_329, 13_361, 151_441));
+    }
+
+    #[test]
+    fn order_heap_top_is_the_first_maximum_of_a_scan() {
+        // Random bumps (with ties, and a rescale that merges keys), pops
+        // and re-inserts; after each step the heap's top must be the
+        // variable a linear scan by index would pick among its members.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let n = 40u32;
+        let mut activity = vec![0.0f64; n as usize];
+        let mut order = VarOrder::new(n as usize);
+        for step in 0..4000 {
+            let var = (next() % u64::from(n)) as u32;
+            match next() % 4 {
+                0 | 1 => {
+                    activity[var as usize] += (next() % 3) as f64;
+                    order.raised(&activity, var);
+                }
+                2 => {
+                    if order.top().is_some() {
+                        order.pop(&activity);
+                    }
+                    if !order.contains(var) {
+                        order.insert(&activity, var);
+                    }
+                }
+                _ => {
+                    for a in &mut activity {
+                        *a *= 1e-300;
+                    }
+                    order.rebuild(&activity);
+                }
+            }
+            let scan =
+                (0..n).filter(|&v| order.contains(v)).fold(
+                    None,
+                    |best: Option<u32>, v| match best {
+                        Some(b) if activity[v as usize] <= activity[b as usize] => Some(b),
+                        _ => Some(v),
+                    },
+                );
+            assert_eq!(order.top(), scan, "step {step}");
+        }
     }
 
     #[test]
@@ -654,15 +994,12 @@ mod tests {
     #[test]
     fn at_most_one_ladder_allows_one_and_rejects_two() {
         let lits: Vec<Lit> = (0..8).map(Lit::pos).collect();
-        let mut next_var = 8u32;
-        let mut clauses: Vec<Vec<Lit>> = Vec::new();
-        at_most_one(&mut clauses, &lits, &mut next_var);
+        let mut base = Solver::new(8);
+        at_most_one(&mut base, &lits);
+        assert!(base.num_vars() > 8, "the ladder adds auxiliary variables");
         // Exactly-one is satisfiable for each choice…
         for chosen in 0..8u32 {
-            let mut s = Solver::new(next_var as usize);
-            for c in &clauses {
-                s.add_clause(c);
-            }
+            let mut s = base.clone();
             for v in 0..8u32 {
                 s.add_clause(&[if v == chosen { Lit::pos(v) } else { Lit::neg(v) }]);
             }
@@ -671,10 +1008,7 @@ mod tests {
         // …while any pair is rejected.
         for a in 0..8u32 {
             for b in a + 1..8u32 {
-                let mut s = Solver::new(next_var as usize);
-                for c in &clauses {
-                    s.add_clause(c);
-                }
+                let mut s = base.clone();
                 s.add_clause(&[Lit::pos(a)]);
                 s.add_clause(&[Lit::pos(b)]);
                 assert_eq!(s.solve(None), SolveResult::Unsat, "pair {a},{b}");
