@@ -117,6 +117,13 @@ stage "bound consistency vs exact oracle" \
 stage "cargo test --ignored (wall-time)" \
   cargo test --release -q --test determinism -- --ignored
 
+# Paper-regime (block = fabric) goldens: gemm b = c = 32 and ttm b = c = 8
+# must repeat their exact search counters, and gemm b = c = 32 must route on
+# an index of at most 4 MiB — the representatives' window, not the 32x32
+# fabric's 52 MiB MRRG.
+stage "fig8 paper-regime goldens" \
+  cargo test --release -q --test pipeline_stats -- --ignored
+
 # Fault-injection sweep: random fault maps over every suite kernel on 4x4
 # and 8x8 fabrics, asserting mapped-and-verified / typed error / deadline —
 # never a panic. The proptest shim derives each case's RNG from the test

@@ -50,6 +50,7 @@ pub const ALL_DIRS: [Dir; 4] = [Dir::North, Dir::East, Dir::South, Dir::West];
 
 impl Dir {
     /// The `(dx, dy)` displacement of this direction.
+    #[inline]
     pub fn delta(self) -> (i32, i32) {
         match self {
             Dir::North => (-1, 0),
@@ -206,11 +207,13 @@ impl CgraSpec {
     }
 
     /// `true` if `pe` lies inside the array.
+    #[inline]
     pub fn contains(&self, pe: PeId) -> bool {
         (pe.x as usize) < self.rows && (pe.y as usize) < self.cols
     }
 
     /// The neighbour of `pe` in direction `dir`, or `None` at the array edge.
+    #[inline]
     pub fn neighbor(&self, pe: PeId, dir: Dir) -> Option<PeId> {
         let (dx, dy) = dir.delta();
         let nx = pe.x as i32 + dx;

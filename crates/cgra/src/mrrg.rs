@@ -13,11 +13,17 @@
 //! *implicit*: [`Mrrg::successors`] and [`Mrrg::predecessors`] enumerate
 //! adjacent resources on demand.
 //!
-//! For hot paths the implicit graph is compiled once into an [`MrrgIndex`]:
-//! every node gets a dense [`RIdx`] id and the full adjacency (with per-edge
-//! latencies) is laid out in CSR form, so routers index flat arrays instead
-//! of hashing [`RNode`] keys. The implicit enumeration stays as the
-//! reference implementation the index is differentially tested against.
+//! For hot paths the implicit graph is compiled into an [`MrrgIndex`] over a
+//! window of PEs: every node on a window PE gets a dense [`RIdx`] id and its
+//! adjacency (with per-edge latencies) is laid out in CSR form, so routers
+//! index flat arrays instead of hashing [`RNode`] keys. A search confined to
+//! a region needs only the region's window; the all-PE window is the whole
+//! graph. The implicit enumeration stays as the reference implementation the
+//! index is differentially tested against.
+//!
+//! Checks that only need to name resources, not search them, use
+//! [`Mrrg::resource_key`]: an arithmetic id computed from the node alone,
+//! with no index at all.
 //!
 //! ## Timing model (1 cycle per hop)
 //!
@@ -179,9 +185,12 @@ impl Mrrg {
     ///
     /// # Panics
     ///
-    /// Panics if `ii == 0`.
+    /// Panics if `ii == 0`, or if the graph's resource keys (see
+    /// [`Mrrg::resource_key`]) overflow `u32`.
     pub fn new(spec: CgraSpec, ii: usize) -> Self {
         assert!(ii > 0, "initiation interval must be at least 1");
+        let keys = spec.pe_count() as u64 * ii as u64 * (9 + spec.rf_size as u64);
+        assert!(keys < 1 << 32, "MRRG exceeds the u32 resource-key space");
         let faulty = !spec.faults.is_empty();
         Mrrg { spec, ii: ii as u32, faulty }
     }
@@ -238,6 +247,7 @@ impl Mrrg {
 
     /// `true` if `node` is a valid resource of this MRRG. Faulted resources
     /// are not part of the graph.
+    #[inline]
     pub fn contains(&self, node: RNode) -> bool {
         if !self.spec.contains(node.pe) || node.t >= self.ii || self.masked(node) {
             return false;
@@ -252,26 +262,96 @@ impl Mrrg {
     /// Iterates all resource nodes in ascending [`RNode`] order without
     /// materializing them — the allocation-free form of [`Mrrg::nodes`].
     pub fn nodes_iter(&self) -> impl Iterator<Item = RNode> + '_ {
-        let ii = self.ii;
+        self.spec.pes().flat_map(move |pe| self.pe_nodes(pe))
+    }
+
+    /// The resource nodes of one PE, in ascending [`RNode`] order.
+    fn pe_nodes(&self, pe: PeId) -> impl Iterator<Item = RNode> + '_ {
         let rf = self.spec.rf_size;
-        self.spec
-            .pes()
-            .flat_map(move |pe| {
-                (0..ii).flat_map(move |t| {
-                    [RKind::Fu, RKind::Out]
-                        .into_iter()
-                        .chain(
-                            ALL_DIRS
-                                .into_iter()
-                                .filter(move |&d| self.spec.neighbor(pe, d).is_some())
-                                .map(RKind::Wire),
-                        )
-                        .chain((0..rf).map(|r| RKind::Reg(r as u8)))
-                        .chain([RKind::RegWr, RKind::RegRd, RKind::Mem])
-                        .map(move |kind| RNode::new(pe, t, kind))
-                })
+        (0..self.ii)
+            .flat_map(move |t| {
+                [RKind::Fu, RKind::Out]
+                    .into_iter()
+                    .chain(
+                        ALL_DIRS
+                            .into_iter()
+                            .filter(move |&d| self.spec.neighbor(pe, d).is_some())
+                            .map(RKind::Wire),
+                    )
+                    .chain((0..rf).map(|r| RKind::Reg(r as u8)))
+                    .chain([RKind::RegWr, RKind::RegRd, RKind::Mem])
+                    .map(move |kind| RNode::new(pe, t, kind))
             })
             .filter(move |&n| !self.masked(n))
+    }
+
+    /// Slots per `(pe, t)` in the resource-key space: `9 + rf_size` (FU,
+    /// output register, four wires, the registers, two RF ports, memory).
+    #[inline]
+    fn slot_count(&self) -> usize {
+        9 + self.spec.rf_size
+    }
+
+    /// Position of `kind` among the slots of one `(pe, t)`, in [`RKind`]
+    /// order.
+    #[inline]
+    fn slot(&self, kind: RKind) -> usize {
+        let rf = self.spec.rf_size;
+        match kind {
+            RKind::Fu => 0,
+            RKind::Out => 1,
+            RKind::Wire(d) => 2 + d.index(),
+            RKind::Reg(r) => 6 + r as usize,
+            RKind::RegWr => 6 + rf,
+            RKind::RegRd => 7 + rf,
+            RKind::Mem => 8 + rf,
+        }
+    }
+
+    /// Padded `(t, slot)` position of a node within its PE's block of
+    /// `II × slot_count` keys.
+    #[inline]
+    fn pe_offset(&self, node: RNode) -> usize {
+        node.t as usize * self.slot_count() + self.slot(node.kind)
+    }
+
+    /// Number of resource keys: every [`Mrrg::resource_key`] is below it.
+    pub fn key_space(&self) -> usize {
+        self.spec.pe_count() * self.ii() * self.slot_count()
+    }
+
+    /// The arithmetic id of a resource: its padded `(pe, t, slot)` position,
+    /// `((x·cols + y)·II + t)·(9 + rf_size) + slot`, computed from the node
+    /// alone. Keys ascend in [`RNode`] order, so sorting by key sorts by
+    /// node. `None` exactly when the node is not part of the graph
+    /// (`!contains(node)`).
+    #[inline]
+    pub fn resource_key(&self, node: RNode) -> Option<u32> {
+        if !self.contains(node) {
+            return None;
+        }
+        let pe = node.pe.x as usize * self.spec.cols + node.pe.y as usize;
+        Some((pe * self.ii() * self.slot_count() + self.pe_offset(node)) as u32)
+    }
+
+    /// The node a [`Mrrg::resource_key`] denotes — its exact inverse on the
+    /// graph's nodes.
+    pub fn resource_node(&self, key: u32) -> RNode {
+        let slots = self.slot_count();
+        let key = key as usize;
+        let (rest, slot) = (key / slots, key % slots);
+        let (pe, t) = (rest / self.ii(), rest % self.ii());
+        let rf = self.spec.rf_size;
+        let kind = match slot {
+            0 => RKind::Fu,
+            1 => RKind::Out,
+            2..=5 => RKind::Wire(ALL_DIRS[slot - 2]),
+            s if s < 6 + rf => RKind::Reg((s - 6) as u8),
+            s if s == 6 + rf => RKind::RegWr,
+            s if s == 7 + rf => RKind::RegRd,
+            _ => RKind::Mem,
+        };
+        RNode::new(PeId::new(pe / self.spec.cols, pe % self.spec.cols), t as u32, kind)
     }
 
     /// Enumerates all resource nodes (for tests and small explicit uses;
@@ -527,8 +607,8 @@ pub struct MemoryStats {
     /// Directed MRRG edges (forward CSR length; the backward CSR mirrors
     /// the same edges).
     pub edges: usize,
-    /// Bytes held by the index's dense tables (padded id table,
-    /// capacities, both CSR halves and the node list).
+    /// Bytes held by the index's dense tables (window tables, padded id
+    /// table, capacities, both CSR halves and the node list).
     pub bytes: usize,
 }
 
@@ -543,24 +623,39 @@ impl MemoryStats {
     }
 }
 
-/// The [`Mrrg`] compiled to dense ids and CSR adjacency.
+/// The [`Mrrg`] over a window of PEs, compiled to dense ids and CSR
+/// adjacency.
 ///
-/// Built once per `(spec, II)` — see [`MrrgIndex::shared`] — and then read
-/// concurrently by every router, candidate-walk worker and verifier that
-/// needs the graph. Per edge the CSR stores the target id plus the
-/// architectural latency (one bit: crossbar feed or clocked hop), so
-/// routing and hop-timing checks never re-enumerate neighbour sets.
+/// Per edge the CSR stores the target id plus the architectural latency
+/// (one bit: crossbar feed or clocked hop), so searches never re-enumerate
+/// neighbour sets. The index covers the nodes of the *full* graph that sit
+/// on the window's PEs: existence follows the full spec, so a PE on the
+/// window border keeps its outward wires, and each adjacency row is the
+/// full row with the targets off the window dropped.
 ///
-/// The dense order is the ascending [`RNode`] order of [`Mrrg::nodes`];
-/// adjacency rows preserve the enumeration order of [`Mrrg::successors`] /
-/// [`Mrrg::predecessors`] exactly. Both properties are what make an indexed
-/// search bit-identical to one over the implicit graph (same tie-breaks,
-/// same relaxation order) — and they are locked in by differential tests.
+/// The dense order is the ascending [`RNode`] order of [`Mrrg::nodes`]
+/// restricted to the window; adjacency rows preserve the enumeration order
+/// of [`Mrrg::successors`] / [`Mrrg::predecessors`] exactly. So a search
+/// that never leaves the window pops, ties and relaxes exactly as it would
+/// over the whole graph: ids are a monotone renumbering, and only edges it
+/// could never take are missing. Both properties are locked in by
+/// differential tests. [`MrrgIndex::new`] is the window of every PE.
+///
+/// Builds are shared process-wide through [`MrrgIndex::shared_window`] and
+/// then read concurrently by every router that needs them. HiMap's
+/// `ROUTE()` negotiation routes on the window around a layout's
+/// representatives; replication and the verifier name resources with
+/// [`Mrrg::resource_key`] and need no index.
 #[derive(Debug)]
 pub struct MrrgIndex {
     mrrg: Mrrg,
-    /// Padded `(pe, t, slot) → dense id` table; `INVALID` where no node
-    /// exists (mesh-border wire slots).
+    /// The window's PEs in ascending order.
+    window: Vec<PeId>,
+    /// Row-major PE number → position in `window`; `INVALID` off the
+    /// window.
+    window_pos: Vec<u32>,
+    /// Padded `(window position, t, slot) → dense id` table; `INVALID`
+    /// where no node exists (mesh-border wire slots, masked resources).
     idx_of: Vec<u32>,
     /// Dense id → node.
     node_of: Vec<RNode>,
@@ -574,49 +669,64 @@ pub struct MrrgIndex {
     bwd_off: Vec<u32>,
     /// Packed backward edges.
     bwd: Vec<u32>,
-    /// Slots per `(pe, t)` in the padded table: `9 + rf_size`.
-    slot_count: usize,
 }
 
 impl MrrgIndex {
-    /// Builds the index of `spec` time-extended to `ii` cycles. Prefer
-    /// [`MrrgIndex::shared`], which memoizes builds process-wide.
+    /// Builds the index of `spec` time-extended to `ii` cycles: the window
+    /// of every PE. Prefer [`MrrgIndex::shared`], which memoizes builds
+    /// process-wide.
     ///
     /// # Panics
     ///
     /// Panics if `ii == 0`, if `rf_size > 256` (the `Reg(u8)` id space), or
     /// if the graph exceeds `2^31` nodes (the packed-edge id space).
     pub fn new(spec: CgraSpec, ii: usize) -> Self {
+        let all: Vec<PeId> = spec.pes().collect();
+        Self::new_window(spec, ii, all)
+    }
+
+    /// Builds the index of the full MRRG's nodes on the PEs of `window`
+    /// (any order, duplicates allowed). Build time and memory follow the
+    /// window, not the fabric.
+    ///
+    /// # Panics
+    ///
+    /// As [`MrrgIndex::new`], and if a window PE lies outside the array.
+    pub fn new_window(spec: CgraSpec, ii: usize, mut window: Vec<PeId>) -> Self {
         assert!(spec.rf_size <= 256, "register file exceeds the Reg(u8) id space");
+        window.sort_unstable();
+        window.dedup();
+        assert!(window.iter().all(|&pe| spec.contains(pe)), "window PE outside the array");
         let mrrg = Mrrg::new(spec, ii);
-        let slot_count = 9 + mrrg.spec().rf_size;
-        let padded = mrrg.spec().pe_count() * ii * slot_count;
-        let node_count = mrrg.node_count();
-        assert!((node_count as u64) < LAT_BIT as u64, "MRRG exceeds the 2^31 packed-edge id space");
-        let mut idx_of = vec![INVALID; padded];
-        let mut node_of = Vec::with_capacity(node_count);
-        let mut cap_of = Vec::with_capacity(node_count);
+        let mut window_pos = vec![INVALID; mrrg.spec().pe_count()];
+        for (i, &pe) in window.iter().enumerate() {
+            window_pos[pe.x as usize * mrrg.spec().cols + pe.y as usize] = i as u32;
+        }
+        let padded = window.len() * ii * mrrg.slot_count();
         let mut index = MrrgIndex {
             mrrg,
-            idx_of: Vec::new(),
-            node_of: Vec::new(),
-            cap_of: Vec::new(),
+            window,
+            window_pos,
+            idx_of: vec![INVALID; padded],
+            node_of: Vec::with_capacity(padded),
+            cap_of: Vec::with_capacity(padded),
             fwd_off: Vec::new(),
             fwd: Vec::new(),
             bwd_off: Vec::new(),
             bwd: Vec::new(),
-            slot_count,
         };
-        // `nodes_iter` yields ascending RNode order, which is exactly the
-        // padded (pe, t, slot) order — dense ids inherit the node order.
-        for node in index.mrrg.nodes_iter() {
-            idx_of[index.padded_index(node)] = node_of.len() as u32;
-            cap_of.push(index.mrrg.spec().capacity(node.kind) as u32);
-            node_of.push(node);
+        // Window PEs ascend and each PE's nodes ascend, so dense ids inherit
+        // the RNode order.
+        for w in 0..index.window.len() {
+            for node in index.mrrg.pe_nodes(index.window[w]) {
+                let padded = index.padded_index(w, node);
+                index.idx_of[padded] = index.node_of.len() as u32;
+                index.cap_of.push(index.mrrg.spec().capacity(node.kind) as u32);
+                index.node_of.push(node);
+            }
         }
-        index.idx_of = idx_of;
-        index.node_of = node_of;
-        index.cap_of = cap_of;
+        let node_count = index.node_of.len();
+        assert!((node_count as u64) < LAT_BIT as u64, "MRRG exceeds the 2^31 packed-edge id space");
         let (fwd_off, fwd) = index.build_csr(true);
         let (bwd_off, bwd) = index.build_csr(false);
         index.fwd_off = fwd_off;
@@ -627,8 +737,9 @@ impl MrrgIndex {
     }
 
     /// Rows of packed edges in legacy enumeration order, forward or
-    /// backward. Latency is derived from the kind pair (`same_cycle`), the
-    /// same rule [`Mrrg::edge_latency`] applies.
+    /// backward, keeping only targets on the window. Latency is derived from
+    /// the kind pair (`same_cycle`), the same rule [`Mrrg::edge_latency`]
+    /// applies.
     ///
     /// Rows are independent and offsets are running sums, so the build
     /// shards into contiguous node ranges across threads and stitches the
@@ -686,8 +797,11 @@ impl MrrgIndex {
         let mut edges = Vec::with_capacity((hi - lo) * 6);
         for &node in &self.node_of[lo..hi] {
             let mut push = |other: RNode| {
-                let padded = self.padded_index(other);
-                let id = self.idx_of[padded];
+                let w = self.window_pos[self.pe_number(other.pe)];
+                if w == INVALID {
+                    return; // off the window
+                }
+                let id = self.idx_of[self.padded_index(w as usize, other)];
                 debug_assert_ne!(id, INVALID, "{node:?} edge to unindexed {other:?}");
                 debug_assert!(id < LAT_BIT, "dense id {id} collides with the latency bit");
                 let (from, to) = if forward { (node, other) } else { (other, node) };
@@ -704,10 +818,22 @@ impl MrrgIndex {
         (off, edges)
     }
 
-    /// The process-wide shared index for `(spec, ii)`, building it on first
-    /// use. All candidate-walk threads, the replication pass and the
-    /// verifier end up borrowing one build through this cache.
+    /// The process-wide shared index of every PE of `(spec, ii)`, building
+    /// it on first use. See [`MrrgIndex::shared_window`].
     pub fn shared(spec: CgraSpec, ii: usize) -> Arc<MrrgIndex> {
+        let all: Vec<PeId> = spec.pes().collect();
+        Self::shared_window(spec, ii, all)
+    }
+
+    /// A process-wide shared index of `(spec, ii)` whose window contains
+    /// `window`, building the index of `window` when the cache holds none.
+    /// Of several cached candidates the one with the fewest nodes serves.
+    ///
+    /// A search that stays on `window` runs identically on any index whose
+    /// window contains it (ids are a monotone renumbering either way), so
+    /// candidate-walk threads, the layouts of one walk whose windows nest,
+    /// and repeated map calls on the same fabric all borrow one build.
+    pub fn shared_window(spec: CgraSpec, ii: usize, window: Vec<PeId>) -> Arc<MrrgIndex> {
         // `CgraSpec` holds an `f64`, so no `Hash`/`Eq`: the cache is a small
         // LRU vector scanned linearly. Builds happen under the lock so a
         // thundering herd of candidate threads triggers exactly one build.
@@ -718,13 +844,17 @@ impl MrrgIndex {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
-        if let Some(pos) = entries.iter().position(|e| e.mrrg.ii() == ii && *e.mrrg.spec() == spec)
+        let covers = |e: &MrrgIndex| {
+            e.mrrg.ii() == ii && window.iter().all(|&pe| e.in_window(pe)) && *e.mrrg.spec() == spec
+        };
+        if let Some((pos, _)) =
+            entries.iter().enumerate().filter(|(_, e)| covers(e)).min_by_key(|(_, e)| e.len())
         {
             let hit = entries.remove(pos);
             entries.push(Arc::clone(&hit)); // most-recently-used at the back
             return hit;
         }
-        let built = Arc::new(MrrgIndex::new(spec, ii));
+        let built = Arc::new(MrrgIndex::new_window(spec, ii, window));
         if entries.len() >= CACHE_CAP {
             entries.remove(0);
         }
@@ -732,7 +862,8 @@ impl MrrgIndex {
         built
     }
 
-    /// The implicit graph this index was compiled from.
+    /// The implicit graph this index was compiled from (the whole fabric's,
+    /// whatever the window).
     pub fn mrrg(&self) -> &Mrrg {
         &self.mrrg
     }
@@ -747,14 +878,27 @@ impl MrrgIndex {
         self.mrrg.ii()
     }
 
-    /// Number of indexed nodes (equals [`Mrrg::node_count`]).
+    /// The window's PEs in ascending order.
+    pub fn window(&self) -> &[PeId] {
+        &self.window
+    }
+
+    /// `true` if `pe` is one of the window's PEs.
+    #[inline]
+    pub fn in_window(&self, pe: PeId) -> bool {
+        self.mrrg.spec().contains(pe) && self.window_pos[self.pe_number(pe)] != INVALID
+    }
+
+    /// Number of indexed nodes (equals [`Mrrg::node_count`] for the all-PE
+    /// window).
     pub fn len(&self) -> usize {
         self.node_of.len()
     }
 
     /// Memory footprint of the compiled tables.
     pub fn memory_stats(&self) -> MemoryStats {
-        let u32s = self.idx_of.len()
+        let u32s = self.window_pos.len()
+            + self.idx_of.len()
             + self.cap_of.len()
             + self.fwd_off.len()
             + self.fwd.len()
@@ -764,6 +908,7 @@ impl MrrgIndex {
             nodes: self.node_of.len(),
             edges: self.fwd.len(),
             bytes: u32s * std::mem::size_of::<u32>()
+                + self.window.len() * std::mem::size_of::<PeId>()
                 + self.node_of.len() * std::mem::size_of::<RNode>(),
         }
     }
@@ -773,29 +918,20 @@ impl MrrgIndex {
         self.node_of.is_empty()
     }
 
+    /// Row-major number of a PE inside the array.
     #[inline]
-    fn slot(&self, kind: RKind) -> usize {
-        let rf = self.mrrg.spec().rf_size;
-        match kind {
-            RKind::Fu => 0,
-            RKind::Out => 1,
-            RKind::Wire(d) => 2 + d.index(),
-            RKind::Reg(r) => 6 + r as usize,
-            RKind::RegWr => 6 + rf,
-            RKind::RegRd => 7 + rf,
-            RKind::Mem => 8 + rf,
-        }
+    fn pe_number(&self, pe: PeId) -> usize {
+        pe.x as usize * self.mrrg.spec().cols + pe.y as usize
     }
 
-    /// Padded table position of a node known to lie inside the array.
+    /// Padded table position of a node on the window PE at position `w`.
     #[inline]
-    fn padded_index(&self, node: RNode) -> usize {
-        let spec = self.mrrg.spec();
-        let pe = node.pe.x as usize * spec.cols + node.pe.y as usize;
-        (pe * self.mrrg.ii() + node.t as usize) * self.slot_count + self.slot(node.kind)
+    fn padded_index(&self, w: usize, node: RNode) -> usize {
+        w * self.mrrg.ii() * self.mrrg.slot_count() + self.mrrg.pe_offset(node)
     }
 
-    /// The dense id of `node`, or `None` when it is not part of the graph.
+    /// The dense id of `node`, or `None` when it is not part of the graph
+    /// or not on the window.
     #[inline]
     pub fn index_of(&self, node: RNode) -> Option<RIdx> {
         if !self.mrrg.spec().contains(node.pe) || node.t as usize >= self.mrrg.ii() {
@@ -806,13 +942,18 @@ impl MrrgIndex {
                 return None;
             }
         }
-        match self.idx_of[self.padded_index(node)] {
+        let w = self.window_pos[self.pe_number(node.pe)];
+        if w == INVALID {
+            return None;
+        }
+        match self.idx_of[self.padded_index(w as usize, node)] {
             INVALID => None,
             id => Some(RIdx(id)),
         }
     }
 
-    /// `true` if `node` is part of the graph (equals [`Mrrg::contains`]).
+    /// `true` if `node` is part of the graph and on the window (for the
+    /// all-PE window, equals [`Mrrg::contains`]).
     #[inline]
     pub fn contains(&self, node: RNode) -> bool {
         self.index_of(node).is_some()
@@ -840,7 +981,7 @@ impl MrrgIndex {
     }
 
     /// Forward edges of `i` as `(successor, latency)`, in the enumeration
-    /// order of [`Mrrg::successors`].
+    /// order of [`Mrrg::successors`] (successors off the window omitted).
     #[inline]
     pub fn successors(&self, i: RIdx) -> impl Iterator<Item = (RIdx, u32)> + '_ {
         let lo = self.fwd_off[i.index()] as usize;
@@ -849,7 +990,8 @@ impl MrrgIndex {
     }
 
     /// Backward edges of `i` as `(predecessor, latency)`, in the
-    /// enumeration order of [`Mrrg::predecessors`].
+    /// enumeration order of [`Mrrg::predecessors`] (predecessors off the
+    /// window omitted).
     #[inline]
     pub fn predecessors(&self, i: RIdx) -> impl Iterator<Item = (RIdx, u32)> + '_ {
         let lo = self.bwd_off[i.index()] as usize;
@@ -858,7 +1000,7 @@ impl MrrgIndex {
     }
 
     /// CSR lookup of the latency of edge `from → to` — the indexed form of
-    /// [`Mrrg::edge_latency`], used by the hop-timing verifier.
+    /// [`Mrrg::edge_latency`] for edges between window nodes.
     pub fn edge_latency(&self, from: RNode, to: RNode) -> Option<u32> {
         let fi = self.index_of(from)?;
         let ti = self.index_of(to)?;
@@ -1277,6 +1419,19 @@ mod tests {
         let b = MrrgIndex::shared(faulted, 2);
         assert!(!Arc::ptr_eq(&a, &b), "fault maps are part of the cache key");
         assert!(b.len() < a.len(), "masking must shrink the graph");
+    }
+
+    #[test]
+    fn shared_window_serves_a_cached_superset() {
+        // An II no other test of this module uses, so the entries are ours.
+        let (spec, ii) = (CgraSpec::square(3), 7);
+        let pe = PeId::new;
+        let big = MrrgIndex::shared_window(spec.clone(), ii, vec![pe(0, 0), pe(0, 1), pe(1, 1)]);
+        assert_eq!(big.window(), &[pe(0, 0), pe(0, 1), pe(1, 1)]);
+        let nested = MrrgIndex::shared_window(spec.clone(), ii, vec![pe(1, 1), pe(0, 0)]);
+        assert!(Arc::ptr_eq(&big, &nested), "a cached superset window serves");
+        let apart = MrrgIndex::shared_window(spec, ii, vec![pe(2, 2)]);
+        assert_eq!(apart.window(), &[pe(2, 2)], "no cached window holds (2,2)");
     }
 
     #[test]

@@ -6,10 +6,17 @@
 //! triples through both representations and require exact agreement, so any
 //! drift between the on-the-fly enumeration and the CSR build fails here
 //! before it can corrupt a routed mapping.
+//!
+//! A window index (the nodes on a subset of PEs) must be the full index
+//! restricted to the window: ids ascending in global order, rows filtered
+//! to the window in the same order. And `Mrrg::resource_key` must name each
+//! node of the graph uniquely, in node order, and nothing else.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use himap_cgra::{CgraSpec, FaultMap, Mrrg, MrrgIndex, PeId, RIdx, RNode, ALL_DIRS};
+use himap_cgra::{
+    CapabilityMap, CgraSpec, FaultMap, Mrrg, MrrgIndex, PeId, RIdx, RKind, RNode, ALL_DIRS,
+};
 use proptest::prelude::*;
 
 fn arb_dims() -> impl Strategy<Value = (usize, usize, usize)> {
@@ -46,7 +53,126 @@ fn build_faulted(rows: usize, cols: usize, ii: usize, faults: &FaultMap) -> (Mrr
     (Mrrg::new(spec.clone(), ii), MrrgIndex::new(spec, ii))
 }
 
+/// A spec of random dimensions — pristine, faulted or with the
+/// heterogeneous capability map — its II, and a random PE window (a bit
+/// mask over the row-major PEs).
+fn arb_windowed() -> impl Strategy<Value = (CgraSpec, usize, Vec<PeId>)> {
+    (arb_faulted(), 0usize..3, any::<u64>()).prop_map(
+        |((rows, cols, ii, faults), flavour, mask)| {
+            let mesh = CgraSpec::mesh(rows, cols).expect("non-empty mesh");
+            let spec = match flavour {
+                0 => mesh,
+                1 => mesh.with_faults(faults),
+                _ => mesh.with_faults(CapabilityMap::heterogeneous(rows, cols)),
+            };
+            let window: Vec<PeId> = spec
+                .pes()
+                .enumerate()
+                .filter(|(i, _)| mask >> i & 1 == 1)
+                .map(|(_, pe)| pe)
+                .collect();
+            (spec, ii, window)
+        },
+    )
+}
+
+/// Maps a row of dense edges back to `(node, latency)`.
+fn row(index: &MrrgIndex, edges: impl Iterator<Item = (RIdx, u32)>) -> Vec<(RNode, u32)> {
+    edges.map(|(j, lat)| (index.node(j), lat)).collect()
+}
+
 proptest! {
+    #[test]
+    fn window_holds_the_full_nodes_on_its_pes_in_global_order(
+        (spec, ii, window) in arb_windowed()
+    ) {
+        let mrrg = Mrrg::new(spec.clone(), ii);
+        let index = MrrgIndex::new_window(spec.clone(), ii, window.clone());
+        let expected: Vec<RNode> =
+            mrrg.nodes().into_iter().filter(|n| window.contains(&n.pe)).collect();
+        prop_assert_eq!(index.nodes(), expected.as_slice());
+        prop_assert!(index.nodes().windows(2).all(|w| w[0] < w[1]), "ids ascend in node order");
+        for (i, &node) in expected.iter().enumerate() {
+            prop_assert_eq!(index.index_of(node), Some(RIdx(i as u32)));
+            prop_assert_eq!(index.capacity(RIdx(i as u32)), spec.capacity(node.kind));
+        }
+        for node in mrrg.nodes().into_iter().filter(|n| !window.contains(&n.pe)) {
+            prop_assert_eq!(index.index_of(node), None, "{:?} is off the window", node);
+        }
+    }
+
+    #[test]
+    fn window_rows_are_the_full_rows_filtered_to_the_window(
+        (spec, ii, window) in arb_windowed()
+    ) {
+        let mrrg = Mrrg::new(spec.clone(), ii);
+        let index = MrrgIndex::new_window(spec, ii, window.clone());
+        let on_window = |n: &RNode| window.contains(&n.pe);
+        for (i, &node) in index.nodes().iter().enumerate() {
+            let full: Vec<(RNode, u32)> = mrrg
+                .successors(node)
+                .into_iter()
+                .filter(on_window)
+                .map(|s| (s, mrrg.edge_latency(node, s).expect("an edge")))
+                .collect();
+            prop_assert_eq!(row(&index, index.successors(RIdx(i as u32))), full);
+            let full: Vec<(RNode, u32)> = mrrg
+                .predecessors(node)
+                .into_iter()
+                .filter(on_window)
+                .map(|p| (p, mrrg.edge_latency(p, node).expect("an edge")))
+                .collect();
+            prop_assert_eq!(row(&index, index.predecessors(RIdx(i as u32))), full);
+        }
+    }
+
+    #[test]
+    fn the_all_pe_window_is_the_full_index((spec, ii, window) in arb_windowed()) {
+        // Every PE, listed in reverse and twice over the random window.
+        let mut all: Vec<PeId> = spec.pes().collect();
+        all.reverse();
+        all.extend(window);
+        let windowed = MrrgIndex::new_window(spec.clone(), ii, all);
+        let full = MrrgIndex::new(spec, ii);
+        prop_assert_eq!(windowed.nodes(), full.nodes());
+        prop_assert_eq!(windowed.window(), full.window());
+        prop_assert_eq!(windowed.memory_stats(), full.memory_stats());
+        for i in 0..full.len() {
+            let i = RIdx(i as u32);
+            prop_assert_eq!(windowed.capacity(i), full.capacity(i));
+            prop_assert!(windowed.successors(i).eq(full.successors(i)));
+            prop_assert!(windowed.predecessors(i).eq(full.predecessors(i)));
+        }
+    }
+
+    #[test]
+    fn resource_keys_name_exactly_the_graph_in_node_order((spec, ii, _w) in arb_windowed()) {
+        let mrrg = Mrrg::new(spec.clone(), ii);
+        // The fault-free graph is a superset: masked nodes must get no key.
+        let superset = Mrrg::new(spec.fault_free(), ii).nodes();
+        let mut last = None;
+        for node in superset {
+            let key = mrrg.resource_key(node);
+            prop_assert_eq!(key.is_some(), mrrg.contains(node), "{:?}", node);
+            if let Some(key) = key {
+                prop_assert!(last < Some(key), "keys ascend in node order at {:?}", node);
+                prop_assert!((key as usize) < mrrg.key_space());
+                prop_assert_eq!(mrrg.resource_node(key), node);
+                last = Some(key);
+            }
+        }
+        // Off the array, past the II, past the register file.
+        let pe = PeId::new(0, 0);
+        for node in [
+            RNode::new(PeId::new(spec.rows, 0), 0, RKind::Fu),
+            RNode::new(PeId::new(0, spec.cols), 0, RKind::Fu),
+            RNode::new(pe, ii as u32, RKind::Fu),
+            RNode::new(pe, 0, RKind::Reg(spec.rf_size as u8)),
+        ] {
+            prop_assert_eq!(mrrg.resource_key(node), None, "{:?}", node);
+        }
+    }
+
     #[test]
     fn ids_are_dense_and_bijective((rows, cols, ii) in arb_dims()) {
         let (mrrg, index) = build(rows, cols, ii);

@@ -15,16 +15,17 @@
 //! to the sequential walk. The parallel path is observable only through
 //! [`PipelineStats`] and wall time.
 //!
-//! Each worker owns an [`EvalScratch`]: one long-lived [`Router`] per
-//! initiation interval, holding a cloned `Arc<MrrgIndex>` and epoch-reset
-//! search scratch, so routing a candidate costs a [`Router::reset`] (two
-//! `memset`s) instead of a full router construction.
+//! Each worker owns an [`EvalScratch`]: one long-lived [`Router`], rebound
+//! to each layout's window index and keeping its epoch-reset search
+//! scratch, so routing a candidate costs a [`Router::reset`] (or a
+//! [`Router::rebind`] on a new layout) instead of a full router
+//! construction.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use himap_baseline::{baseline_block, bhc, BaselineMapping, BaselineOptions};
 use himap_cgra::{CgraSpec, MrrgIndex, Vsa};
@@ -36,7 +37,7 @@ use himap_systolic::{search_counted, SearchConfig};
 use crate::layout::Layout;
 use crate::mapping::{Mapping, MappingStats};
 use crate::options::{Attempt, HiMapError, HiMapOptions, MapReport};
-use crate::route::{route_representatives_pooled, ReplicaPlan};
+use crate::route::{representative_window, route_representatives_pooled, ReplicaPlan};
 use crate::stats::{PipelineStats, Stage, StatsCollector, WorkerStats};
 use crate::submap::{map_idfg_counted, SubMapping};
 use crate::unique::classify;
@@ -594,32 +595,30 @@ fn enumerate_candidates(
     out
 }
 
-/// Per-worker reusable evaluation state: one long-lived router per
-/// initiation interval. The dense `MrrgIndex` behind each router comes from
-/// the process-wide share cache, so across workers the routers hold cloned
-/// `Arc`s of the same index; the congestion vectors and epoch-stamped search
-/// scratch are private per worker and survive from candidate to candidate.
+/// Per-worker reusable evaluation state: one long-lived router, rebound to
+/// the window index of each layout it routes. The window indexes come from
+/// the process-wide share cache, so workers routing the same layout hold
+/// cloned `Arc`s of one build; the congestion vectors and epoch-stamped
+/// search scratch are private per worker and survive from candidate to
+/// candidate.
 struct EvalScratch {
-    routers: HashMap<usize, Router>,
+    router: Option<Router>,
 }
 
 impl EvalScratch {
     fn new() -> Self {
-        EvalScratch { routers: HashMap::new() }
+        EvalScratch { router: None }
     }
 
-    /// The pooled router for `layout`'s II, plus the index-acquisition time
-    /// when this call had to build one (zero on reuse).
-    fn router_for(&mut self, layout: &Layout) -> (&mut Router, Duration) {
-        match self.routers.entry(layout.iib()) {
-            std::collections::hash_map::Entry::Occupied(e) => (e.into_mut(), Duration::ZERO),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let start = Instant::now();
-                let index = MrrgIndex::shared(layout.vsa().spec().clone(), layout.iib());
-                let build = start.elapsed();
-                (v.insert(Router::with_index(index, RouterConfig::default())), build)
-            }
+    /// The pooled router, bound to `index`.
+    fn router_on(&mut self, index: &Arc<MrrgIndex>) -> &mut Router {
+        let router = self
+            .router
+            .get_or_insert_with(|| Router::with_index(Arc::clone(index), RouterConfig::default()));
+        if !Arc::ptr_eq(router.index(), index) {
+            router.rebind(Arc::clone(index));
         }
+        router
     }
 }
 
@@ -787,7 +786,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// a strictly better candidate has fully verified and the result cannot
 /// matter, so the evaluation stops early with [`Verdict::Abandoned`] —
 /// mid-route via the Dijkstra loop's poll, mid-phase via the boundary
-/// checks. Routing goes through `scratch`'s per-II router pool.
+/// checks. Routing goes through `scratch`'s pooled router.
 fn evaluate(
     ctx: &EvalCtx<'_>,
     candidate: &Candidate,
@@ -893,12 +892,19 @@ fn evaluate(
         let mut seed_history: Vec<himap_cgra::RNode> = Vec::new();
         let mut plan = None;
         let mut routed = None;
+        // The negotiation routes on an index of the representatives' window,
+        // built once per layout and charged to the first attempt.
+        let start = Instant::now();
+        let window = representative_window(&dfg, &layout, &classes);
+        let index = MrrgIndex::shared_window(layout.vsa().spec().clone(), layout.iib(), window);
+        let mut index_build = start.elapsed();
         for _attempt in 0..ctx.options.replication_feedback_rounds {
             if abandon() {
                 return Verdict::Abandoned;
             }
             StatsCollector::add(&stats.route_attempts, 1);
-            let (router, index_build) = scratch.router_for(&layout);
+            let index_build = std::mem::take(&mut index_build);
+            let router = scratch.router_on(&index);
             router.set_cancel_token(cancel.cloned());
             let (design, counters) = stats.timed(Stage::Route, || {
                 route_representatives_pooled(
@@ -1039,6 +1045,7 @@ fn block_for_assignment(
 mod tests {
     use super::*;
     use himap_kernels::suite;
+    use std::time::Duration;
 
     fn map(kernel: &Kernel, c: usize) -> Result<Mapping, HiMapError> {
         HiMap::new(HiMapOptions::default()).map(kernel, &CgraSpec::square(c))

@@ -9,13 +9,13 @@
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use himap_cgra::{Mrrg, MrrgIndex, PeId, RIdx, RKind, RNode};
+use himap_cgra::{Mrrg, MrrgIndex, PeId, RKind, RNode};
 use himap_dfg::{Dfg, EdgeKind, Iter4, NodeKind};
 use himap_graph::{EdgeId, NodeId};
 use himap_mapper::{CancelToken, Elapsed, Router, RouterConfig, RouterStats, SignalId};
+use himap_systolic::Position;
 
 use crate::layout::Layout;
 use crate::options::HiMapOptions;
@@ -119,14 +119,15 @@ impl fmt::Display for RouteError {
 impl Error for RouteError {}
 
 /// Instrumentation of one [`route_representatives_counted`] call: the
-/// router's search-effort counters plus the time spent acquiring the shared
-/// dense MRRG index (a cache hit after the first build, so ~zero in steady
-/// state).
+/// router's search-effort counters plus the time spent acquiring the dense
+/// MRRG index of the layout's window (one build per layout, as each layout
+/// has its own window).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RouteCounters {
     /// Dijkstra search effort across every `route*` call of the attempt.
     pub router: RouterStats,
-    /// Wall time of the `MrrgIndex::shared` acquisition.
+    /// Wall time of the window index acquisition
+    /// ([`MrrgIndex::shared_window`]).
     pub index_build: Duration,
 }
 
@@ -152,11 +153,11 @@ pub fn route_representatives_counted(
     options: &HiMapOptions,
     seed_history: &[RNode],
 ) -> (Result<RoutedDesign, RouteError>, RouteCounters) {
-    let spec = layout.vsa().spec().clone();
-    // One dense index per (spec, II) serves every negotiation attempt, every
-    // candidate thread and the replication pass below.
+    // The negotiation only ever touches the PEs of the representatives'
+    // window, so the dense index covers those, not the fabric.
     let index_start = Instant::now();
-    let index = MrrgIndex::shared(spec, layout.iib());
+    let window = representative_window(dfg, layout, classes);
+    let index = MrrgIndex::shared_window(layout.vsa().spec().clone(), layout.iib(), window);
     let index_build = index_start.elapsed();
     let mut router = Router::with_index(index, RouterConfig::default());
     route_representatives_pooled(
@@ -172,17 +173,25 @@ pub fn route_representatives_counted(
 
 /// [`route_representatives_counted`] on a caller-owned, long-lived router —
 /// the entry point of the work-queue candidate scheduler, whose workers keep
-/// one router per `(spec, II)` alive across candidates instead of
-/// reconstructing congestion vectors per attempt.
+/// one router alive across candidates instead of reconstructing congestion
+/// vectors and search scratch per attempt.
 ///
-/// The router must be indexed for the layout's `(spec, iib)`. It is
+/// The router must be indexed for the layout's `(spec, iib)`, on any window
+/// that contains the representatives' window (the PEs their negotiation can
+/// touch; the all-PE index does). It is
 /// [`Router::reset`] here, so every negotiation starts from clean
 /// present/history state exactly as a freshly built router would; the reset
 /// touches only the resources the previous negotiation wrote, and the
-/// epoch-stamped search scratch is reused. `index_build` is the caller's index-acquisition time,
-/// passed through into the counters. Any armed
+/// epoch-stamped search scratch is reused. `index_build` is the caller's
+/// index-acquisition time, passed through into the counters. Any armed
 /// [`CancelToken`](himap_mapper::CancelToken) stays armed: a negotiation for
 /// an abandoned candidate collapses within a few heap pops.
+///
+/// Should the window miss a PE the negotiation needs — the window does not
+/// contain the representatives' window, or a forwarded net taps a resource
+/// off it — the router is rebound to the all-PE index and the negotiation
+/// reruns from the start; the aborted run's search counters are dropped.
+/// Results and counters are then those of a router over the whole fabric.
 pub fn route_representatives_pooled(
     dfg: &Dfg,
     layout: &Layout,
@@ -198,9 +207,84 @@ pub fn route_representatives_pooled(
         "pooled router indexed for a different II than the layout's"
     );
     router.reset();
-    let result = negotiate(dfg, layout, classes, options, seed_history, router);
+    let result = match negotiate(dfg, layout, classes, options, seed_history, router) {
+        Err(Stop::OffWindow) => {
+            router.take_search_stats();
+            router.rebind(MrrgIndex::shared(layout.vsa().spec().clone(), layout.iib()));
+            negotiate(dfg, layout, classes, options, seed_history, router)
+        }
+        result => result,
+    };
+    let result = result.map_err(|stop| match stop {
+        Stop::Failed(e) => e,
+        Stop::OffWindow => unreachable!("the all-PE window holds every resource"),
+    });
     let counters = RouteCounters { router: router.take_search_stats(), index_build };
     (result, counters)
+}
+
+/// Why a negotiation stopped without a design.
+enum Stop {
+    /// Routing failed.
+    Failed(RouteError),
+    /// The router's window misses a PE the negotiation needs.
+    OffWindow,
+}
+
+impl From<RouteError> for Stop {
+    fn from(e: RouteError) -> Self {
+        Stop::Failed(e)
+    }
+}
+
+/// Every in-edge of every representative iteration, in edge order: the
+/// edges `ROUTE()` negotiates. Gathered from the representatives' clusters,
+/// so the cost follows the representatives, not the block.
+fn representative_edges(dfg: &Dfg, classes: &Classes) -> Vec<EdgeId> {
+    let mut edges: Vec<EdgeId> = classes
+        .reps
+        .iter()
+        .flat_map(|&rep| dfg.cluster(dfg.iteration_at(rep)))
+        .flat_map(|&node| dfg.graph().in_edges(node).map(|ie| ie.id))
+        .collect();
+    edges.sort_unstable();
+    edges
+}
+
+/// The PEs the representatives' negotiation can touch, in ascending order:
+/// the sub-CGRA of every representative (its op slots), the bounding box
+/// of every representative in-edge (each search stays inside its edge's
+/// box), and the box of the carrier in-edge of every forward edge's source,
+/// whose translated pattern seeds the forwarded net.
+///
+/// The negotiation's router needs an index over these PEs only; a search
+/// over that window is identical to one over the whole fabric.
+pub(crate) fn representative_window(dfg: &Dfg, layout: &Layout, classes: &Classes) -> Vec<PeId> {
+    window_pes(dfg, layout, classes, &representative_edges(dfg, classes))
+}
+
+/// [`representative_window`] over the precomputed representative edges.
+fn window_pes(dfg: &Dfg, layout: &Layout, classes: &Classes, edges: &[EdgeId]) -> Vec<PeId> {
+    let mut boxes: Vec<BBox> = classes
+        .reps
+        .iter()
+        .map(|&rep| BBox::spe(layout, layout.position(dfg, dfg.iteration_at(rep))))
+        .collect();
+    for &e in edges {
+        boxes.push(route_bbox(dfg, layout, e));
+        if let EdgeKind::Forward { root } = dfg.graph()[e].kind {
+            let (src, _) = dfg.graph().edge_endpoints(e);
+            let carrier =
+                dfg.graph().in_edges(src).find(|ie| dfg.graph()[ie.id].signal(ie.src) == root);
+            if let Some(carrier) = carrier {
+                boxes.push(route_bbox(dfg, layout, carrier.id));
+            }
+        }
+    }
+    let mut pes: Vec<PeId> = boxes.iter().flat_map(BBox::pes).collect();
+    pes.sort_unstable();
+    pes.dedup();
+    pes
 }
 
 /// The negotiation loop proper, on a caller-provided router.
@@ -211,24 +295,18 @@ fn negotiate(
     options: &HiMapOptions,
     seed_history: &[RNode],
     router: &mut Router,
-) -> Result<RoutedDesign, RouteError> {
+) -> Result<RoutedDesign, Stop> {
+    // Deterministic edge list: every in-edge of every rep-iteration node.
+    let edges = representative_edges(dfg, classes);
+    let index = router.index();
+    if !window_pes(dfg, layout, classes, &edges).into_iter().all(|pe| index.in_window(pe)) {
+        return Err(Stop::OffWindow);
+    }
     // Replica conflicts from a previous replication attempt enter the
-    // negotiation as pre-seeded history costs.
+    // negotiation as pre-seeded history costs. (A conflict off the window
+    // lies where no search of this negotiation can price it.)
     for &node in seed_history {
         router.add_history(node, RouterConfig::default().history_increment);
-    }
-    // Deterministic edge list: every in-edge of every rep-iteration node.
-    let mut edges: Vec<EdgeId> = Vec::new();
-    let mut is_rep_iter = vec![false; dfg.iteration_count()];
-    for &rep in &classes.reps {
-        is_rep_iter[rep] = true;
-    }
-    for e in dfg.graph().edge_ids() {
-        let (_, dst) = dfg.graph().edge_endpoints(e);
-        let dst_iter = dfg.graph()[dst].iter;
-        if is_rep_iter[dfg.linear_index(dst_iter)] {
-            edges.push(e);
-        }
     }
     // Place every rep op's FU slot so congestion sees them.
     for &rep in &classes.reps {
@@ -240,8 +318,8 @@ fn negotiate(
                 // The layout probes capability-blind; a slot on a dead or
                 // route-only PE has no FU node in the MRRG and the whole
                 // candidate is rejected typed before any routing work.
-                if router.index().index_of(rnode).is_none() {
-                    return Err(RouteError::MaskedSlot(rnode));
+                if !router.mrrg().contains(rnode) {
+                    return Err(RouteError::MaskedSlot(rnode).into());
                 }
                 router.place(rnode, SignalId(node.index() as u32));
             }
@@ -261,11 +339,12 @@ fn negotiate(
                 router.bump_history();
                 clear_routes(dfg, layout, classes, router);
             }
-            Err(e) => {
+            Err(Stop::OffWindow) => return Err(Stop::OffWindow),
+            Err(Stop::Failed(e)) => {
                 // A cancelled router refuses every search, so the remaining
                 // rounds could only fail the same way.
                 if router.is_cancelled() {
-                    return Err(e);
+                    return Err(e.into());
                 }
                 last_err = e;
                 router.bump_history();
@@ -273,7 +352,7 @@ fn negotiate(
             }
         }
     }
-    Err(last_err)
+    Err(last_err.into())
 }
 
 /// Clears routed occupancy but keeps placed FU slots and history.
@@ -299,7 +378,7 @@ fn route_round(
     classes: &Classes,
     edges: &[EdgeId],
     router: &mut Router,
-) -> Result<RoutedDesign, RouteError> {
+) -> Result<RoutedDesign, Stop> {
     let t = layout.sub().t as i64;
     // The routed net of (consumer node, root signal): every resource the
     // signal exists on, with absolute times — later chain links may tap any
@@ -318,11 +397,15 @@ fn route_round(
             let Some(source) = edge_source(dfg, layout, classes, &deliveries, &patterns, e) else {
                 continue; // forwarding source not available yet
             };
+            let (EdgeSource::Net(taps) | EdgeSource::MemPorts(taps)) = &source;
+            if taps.iter().any(|&(n, _)| !router.index().contains(n) && router.mrrg().contains(n)) {
+                return Err(Stop::OffWindow);
+            }
             let (src, dst) = dfg.graph().edge_endpoints(e);
             let dst_iter = dfg.graph()[dst].iter;
             let NodeKind::Op { stmt, op, .. } = dfg.graph()[dst].kind else {
                 // Route relays are not generated for the built-in kernels.
-                return Err(RouteError::Unroutable(e));
+                return Err(RouteError::Unroutable(e).into());
             };
             let dslot = layout.op_slot(dfg, dst_iter, stmt, op);
             let target = RNode::new(dslot.pe, dslot.cycle_mod, RKind::Fu);
@@ -332,7 +415,7 @@ fn route_round(
             let path = match source {
                 EdgeSource::Net(net) => {
                     if net.iter().all(|&(_, abs)| abs >= dslot.abs) {
-                        return Err(RouteError::NonCausal(e));
+                        return Err(RouteError::NonCausal(e).into());
                     }
                     router
                         .route_timed(signal, &net, target, dslot.abs, |n| bbox.contains(n.pe))
@@ -374,7 +457,7 @@ fn route_round(
             progress = true;
         }
         if !progress {
-            return Err(RouteError::ForwardOrdering);
+            return Err(RouteError::ForwardOrdering.into());
         }
     }
     Ok(RoutedDesign { patterns, rounds: 0 })
@@ -555,8 +638,10 @@ fn mem_sources(dfg: &Dfg, layout: &Layout, input: NodeId) -> Vec<(RNode, i64)> {
     out
 }
 
-/// The PE bounding box of the source and destination sub-CGRAs of an edge,
-/// used to confine routes so translated replicas stay in bounds.
+/// A PE bounding box (inclusive bounds): a sub-CGRA, or the hull of an
+/// edge's source and destination sub-CGRAs, used to confine routes so
+/// translated replicas stay in bounds.
+#[derive(Clone, Copy)]
 struct BBox {
     x0: i32,
     x1: i32,
@@ -565,33 +650,44 @@ struct BBox {
 }
 
 impl BBox {
+    /// The PEs of the sub-CGRA at systolic position `pos`. SPE positions
+    /// are relative to the VSA origin, which is non-zero when the VSA is
+    /// cropped around dead PEs.
+    fn spe(layout: &Layout, pos: Position) -> BBox {
+        let (s1, s2) = (layout.sub().s1 as i32, layout.sub().s2 as i32);
+        let origin = layout.vsa().origin();
+        let (x0, y0) = (origin.x as i32 + pos.x * s1, origin.y as i32 + pos.y * s2);
+        BBox { x0, x1: x0 + s1 - 1, y0, y1: y0 + s2 - 1 }
+    }
+
+    /// The smallest box holding both.
+    fn hull(self, other: BBox) -> BBox {
+        BBox {
+            x0: self.x0.min(other.x0),
+            x1: self.x1.max(other.x1),
+            y0: self.y0.min(other.y0),
+            y1: self.y1.max(other.y1),
+        }
+    }
+
     fn contains(&self, pe: PeId) -> bool {
         (pe.x as i32) >= self.x0
             && (pe.x as i32) <= self.x1
             && (pe.y as i32) >= self.y0
             && (pe.y as i32) <= self.y1
     }
+
+    /// The box's PEs, row-major.
+    fn pes(&self) -> impl Iterator<Item = PeId> {
+        let (x0, x1, y0, y1) = (self.x0, self.x1, self.y0, self.y1);
+        (x0..=x1).flat_map(move |x| (y0..=y1).map(move |y| PeId::new(x as usize, y as usize)))
+    }
 }
 
 fn route_bbox(dfg: &Dfg, layout: &Layout, e: EdgeId) -> BBox {
     let (src, dst) = dfg.graph().edge_endpoints(e);
-    let (s1, s2) = (layout.sub().s1 as i32, layout.sub().s2 as i32);
-    // SPE positions are relative to the VSA origin, which is non-zero when
-    // the VSA is cropped around dead PEs.
-    let origin = layout.vsa().origin();
-    let (ox, oy) = (origin.x as i32, origin.y as i32);
-    let mut x0 = i32::MAX;
-    let mut x1 = i32::MIN;
-    let mut y0 = i32::MAX;
-    let mut y1 = i32::MIN;
-    for node in [src, dst] {
-        let pos = layout.position(dfg, dfg.graph()[node].iter);
-        x0 = x0.min(ox + pos.x * s1);
-        x1 = x1.max(ox + pos.x * s1 + s1 - 1);
-        y0 = y0.min(oy + pos.y * s2);
-        y1 = y1.max(oy + pos.y * s2 + s2 - 1);
-    }
-    BBox { x0, x1, y0, y1 }
+    let spe = |node: NodeId| BBox::spe(layout, layout.position(dfg, dfg.graph()[node].iter));
+    spe(src).hull(spe(dst))
 }
 
 /// One fully translated route for the simulator: the DFG edge it implements
@@ -605,7 +701,7 @@ pub struct FullRoute {
 }
 
 /// Marks a replicated step whose node is not in the MRRG.
-const UNINDEXED: u32 = u32::MAX;
+const NO_KEY: u32 = u32::MAX;
 
 /// Edges planned or stamped between two polls of the replication cancel
 /// token: a few microseconds of work, so a fired deadline stops replication
@@ -620,12 +716,13 @@ fn poll_cancelled(n: usize, cancel: Option<&CancelToken>) -> Result<(), RouteErr
     Ok(())
 }
 
-/// A resource claim as `(dense id << 32) | signal`. Sorting and
-/// deduplicating a flat claim list groups claims by resource, so occupancy
-/// costs memory in proportion to the stamped steps, not to the fabric.
+/// A resource claim as `(resource key << 32) | signal`, where the key is
+/// [`Mrrg::resource_key`]. Sorting and deduplicating a flat claim list
+/// groups claims by resource, so occupancy costs memory in proportion to
+/// the stamped steps, not to the fabric.
 #[inline]
-fn claim(ri: RIdx, signal: u32) -> u64 {
-    (u64::from(ri.0) << 32) | u64::from(signal)
+fn claim(key: u32, signal: u32) -> u64 {
+    (u64::from(key) << 32) | u64::from(signal)
 }
 
 /// One DFG edge of a [`ReplicaPlan`].
@@ -651,12 +748,14 @@ struct PlannedEdge {
 /// the pattern it reuses, its translation and its root signal. The plan
 /// derives them once per layout; each [`ReplicaPlan::replicate`] round
 /// resolves the few distinct pattern keys against the new design and
-/// stamps, with no per-edge hashing or allocation.
+/// stamps, with no per-edge hashing or allocation. Resources are named by
+/// their arithmetic [`Mrrg::resource_key`], so the plan needs no index of
+/// the fabric.
 pub struct ReplicaPlan<'a> {
     dfg: &'a Dfg,
     layout: &'a Layout,
-    /// The shared index the representative negotiation used.
-    index: Arc<MrrgIndex>,
+    /// The layout's whole-fabric MRRG (implicit: no tables).
+    mrrg: Mrrg,
     /// Every op FU-slot claim (with the op's unique node id), sorted.
     op_claims: Vec<u64>,
     /// Representative-frame FU slots of ops that some member translation
@@ -680,7 +779,7 @@ impl<'a> ReplicaPlan<'a> {
         cancel: Option<&CancelToken>,
     ) -> Result<Self, RouteError> {
         let spec = layout.vsa().spec();
-        let index = MrrgIndex::shared(spec.clone(), layout.iib());
+        let mrrg = Mrrg::new(spec.clone(), layout.iib());
         let mut op_claims = Vec::new();
         let mut op_faults = Vec::new();
         // A member translation may land an op on a PE that computes but
@@ -697,8 +796,8 @@ impl<'a> ReplicaPlan<'a> {
                     op_faults.push(RNode::new(rep_slot.pe, rep_slot.cycle_mod, RKind::Fu));
                     continue;
                 }
-                if let Some(ri) = index.index_of(fu) {
-                    op_claims.push(claim(ri, node.index() as u32));
+                if let Some(key) = mrrg.resource_key(fu) {
+                    op_claims.push(claim(key, node.index() as u32));
                 } else {
                     debug_assert!(false, "op slot outside the array at {fu:?}");
                 }
@@ -724,7 +823,7 @@ impl<'a> ReplicaPlan<'a> {
                 shift: Shift::between(layout, dfg, dfg.iteration_at(classes.reps[class]), dst_iter),
             });
         }
-        Ok(ReplicaPlan { dfg, layout, index, op_claims, op_faults, keys, edges })
+        Ok(ReplicaPlan { dfg, layout, mrrg, op_claims, op_faults, keys, edges })
     }
 
     /// Replicates the design's class patterns over every iteration,
@@ -777,15 +876,14 @@ impl<'a> ReplicaPlan<'a> {
         cancel: Option<&CancelToken>,
     ) -> Result<(), RouteError> {
         let spec = self.layout.vsa().spec();
-        let index = &*self.index;
         let steps: usize = self.edges.iter().map(|edge| patterns[edge.key as usize].len()).sum();
         // Op slots claim with their (unique) node id, route steps with their
         // root signal.
         let mut claims = Vec::with_capacity(self.op_claims.len() + steps);
         claims.extend_from_slice(&self.op_claims);
-        // Dense id of every route step in stamping order (`UNINDEXED` off the
-        // MRRG), so the conflict pass below needs no second index lookup.
-        let mut step_ridx: Vec<u32> = Vec::with_capacity(steps);
+        // Resource key of every route step in stamping order (`NO_KEY` off
+        // the MRRG), so the conflict pass below needs no second lookup.
+        let mut step_keys: Vec<u32> = Vec::with_capacity(steps);
         // Steps (in the representative frame) whose translations land on
         // faulted or capability-illegal resources; reported together so the
         // feedback loop steers the next negotiation round around them.
@@ -799,12 +897,12 @@ impl<'a> ReplicaPlan<'a> {
                     spec.contains(node.pe),
                     "translated route leaves the array at {node:?}"
                 );
-                let ri = index.index_of(node);
-                step_ridx.push(ri.map_or(UNINDEXED, |ri| ri.0));
+                let key = self.mrrg.resource_key(node);
+                step_keys.push(key.unwrap_or(NO_KEY));
                 let endpoint = i == 0 || i == pattern.len() - 1;
                 if !(endpoint && node.kind == RKind::Fu) {
-                    if let Some(ri) = ri {
-                        claims.push(claim(ri, edge.root));
+                    if let Some(key) = key {
+                        claims.push(claim(key, edge.root));
                     } else if spec.faults.masks(spec, node) {
                         faulted_steps.push(edge.shift.unapply((node, abs)));
                     }
@@ -819,7 +917,7 @@ impl<'a> ReplicaPlan<'a> {
                 rep_frame: faulted_steps,
             });
         }
-        // Capacity check: after dedup each run of equal dense ids lists the
+        // Capacity check: after dedup each run of equal keys lists the
         // resource's distinct signals.
         claims.sort_unstable();
         claims.dedup();
@@ -828,16 +926,17 @@ impl<'a> ReplicaPlan<'a> {
         let mut conflicted: Option<ResourceMask> = None;
         let mut conflict_count = 0;
         for run in claims.chunk_by(|a, b| a >> 32 == b >> 32) {
-            let ri = RIdx((run[0] >> 32) as u32);
-            if run.len() > index.capacity(ri) {
-                conflicted.get_or_insert_with(|| ResourceMask::new(index)).insert(ri.0);
+            let key = (run[0] >> 32) as u32;
+            // Every resource holds one signal, so most runs need no lookup.
+            if run.len() > 1 && run.len() > spec.capacity(self.mrrg.resource_node(key).kind) {
+                conflicted.get_or_insert_with(|| ResourceMask::new(&self.mrrg)).insert(key);
                 conflict_count += 1;
             }
         }
         match conflicted {
             Some(is_conflicted) => Err(RouteError::ReplicaConflicts {
                 count: conflict_count,
-                rep_frame: self.conflicts_in_rep_frame(patterns, &step_ridx, &is_conflicted),
+                rep_frame: self.conflicts_in_rep_frame(patterns, &step_keys, &is_conflicted),
             }),
             None => Ok(()),
         }
@@ -851,7 +950,7 @@ impl<'a> ReplicaPlan<'a> {
     fn conflicts_in_rep_frame(
         &self,
         patterns: &[&Pattern],
-        step_ridx: &[u32],
+        step_keys: &[u32],
         is_conflicted: &ResourceMask,
     ) -> Vec<RNode> {
         let mut first_step = Vec::with_capacity(patterns.len());
@@ -862,11 +961,11 @@ impl<'a> ReplicaPlan<'a> {
         }
         let mut reported = vec![false; total];
         let mut rep_frame = Vec::new();
-        let mut step_ridx = step_ridx.iter();
+        let mut step_keys = step_keys.iter();
         for edge in &self.edges {
             let key = edge.key as usize;
-            for (i, (&step, &ri)) in patterns[key].iter().zip(step_ridx.by_ref()).enumerate() {
-                if ri != UNINDEXED && is_conflicted.contains(ri) && !reported[first_step[key] + i] {
+            for (i, (&step, &rk)) in patterns[key].iter().zip(step_keys.by_ref()).enumerate() {
+                if rk != NO_KEY && is_conflicted.contains(rk) && !reported[first_step[key] + i] {
                     reported[first_step[key] + i] = true;
                     rep_frame.push(edge.shift.unapply(edge.shift.apply(step)));
                 }
@@ -878,24 +977,24 @@ impl<'a> ReplicaPlan<'a> {
     }
 }
 
-/// One bit per resource of an index.
+/// One bit per resource key of an MRRG.
 struct ResourceMask(Vec<u64>);
 
 impl ResourceMask {
-    fn new(index: &MrrgIndex) -> Self {
-        ResourceMask(vec![0; index.len().div_ceil(64)])
+    fn new(mrrg: &Mrrg) -> Self {
+        ResourceMask(vec![0; mrrg.key_space().div_ceil(64)])
     }
 
     #[inline]
-    fn contains(&self, ri: u32) -> bool {
-        self.0[ri as usize / 64] >> (ri % 64) & 1 == 1
+    fn contains(&self, key: u32) -> bool {
+        self.0[key as usize / 64] >> (key % 64) & 1 == 1
     }
 
-    /// Sets the bit of `ri`, returning whether it was clear.
+    /// Sets the bit of `key`, returning whether it was clear.
     #[inline]
-    fn insert(&mut self, ri: u32) -> bool {
-        let fresh = !self.contains(ri);
-        self.0[ri as usize / 64] |= 1 << (ri % 64);
+    fn insert(&mut self, key: u32) -> bool {
+        let fresh = !self.contains(key);
+        self.0[key as usize / 64] |= 1 << (key % 64);
         fresh
     }
 }
@@ -957,6 +1056,7 @@ mod tests {
     use himap_cgra::{CgraSpec, Vsa};
     use himap_kernels::suite;
     use himap_systolic::{search, SearchConfig};
+    use std::sync::Arc;
 
     fn pipeline(kernel: &himap_kernels::Kernel, c: usize) -> (Dfg, Layout, Classes) {
         let sub = map_idfg(kernel, &CgraSpec::square(c), &HiMapOptions::default())[0].clone();
@@ -1168,8 +1268,7 @@ mod tests {
         let (class, step) = free_regwr(&dfg, &layout, &classes, &routes);
         let rep_iter = dfg.iteration_at(classes.reps[class]);
         let node = Shift::between(&layout, &dfg, rep_iter, rep_iter).apply(step).0;
-        let index = MrrgIndex::shared(layout.vsa().spec().clone(), layout.iib());
-        assert_eq!(index.capacity(index.index_of(node).expect("indexed")), 2);
+        assert_eq!(layout.vsa().spec().capacity(node.kind), 2);
         // Signal A claims the resource twice (two steps of one route), signal
         // B once: three claims, but only two distinct signals.
         let edges = rep_in_edges(&dfg, &layout, &classes, class);
@@ -1332,6 +1431,46 @@ mod tests {
             })
             .expect("removed keys are used");
         assert_eq!(replicate(&design), Err(RouteError::MissingPattern { class: first.0 }));
+    }
+
+    #[test]
+    fn a_window_missing_the_representatives_reruns_on_the_whole_fabric() {
+        let (dfg, layout, classes) = pipeline(&suite::gemm(), 4);
+        let spec = layout.vsa().spec().clone();
+        let options = HiMapOptions::default();
+        let plan = ReplicaPlan::new(&dfg, &layout, &classes, None).expect("no cancel token");
+        let negotiate = |index: Arc<MrrgIndex>| {
+            let mut router = Router::with_index(index, RouterConfig::default());
+            let (design, counters) = route_representatives_pooled(
+                &dfg,
+                &layout,
+                &classes,
+                &options,
+                &[],
+                &mut router,
+                Duration::ZERO,
+            );
+            let design = design.expect("gemm negotiates on 4x4");
+            let stats = counters.router;
+            let searched = (stats.searches, stats.nodes_popped, stats.heap_pushes);
+            (design.rounds, outcome(&plan.replicate(&design, None)), searched, router.index().len())
+        };
+        let full = MrrgIndex::shared(spec.clone(), layout.iib());
+        let window = representative_window(&dfg, &layout, &classes);
+        assert!(window.len() > 1);
+        let from_full = negotiate(Arc::clone(&full));
+        // The representatives' own window answers exactly as the fabric does.
+        let from_window =
+            negotiate(Arc::new(MrrgIndex::new_window(spec.clone(), layout.iib(), window)));
+        assert_eq!(from_window.0, from_full.0);
+        assert_eq!(from_window.1, from_full.1);
+        assert_eq!(from_window.2, from_full.2);
+        assert!(from_window.3 < full.len(), "the window is smaller than the fabric");
+        // A one-PE window misses most of it: the negotiation reruns on the
+        // whole fabric, with the same design and search counters.
+        let corner = MrrgIndex::new_window(spec, layout.iib(), vec![PeId::new(0, 0)]);
+        let from_corner = negotiate(Arc::new(corner));
+        assert_eq!(from_corner, from_full);
     }
 
     #[test]

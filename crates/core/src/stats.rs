@@ -70,11 +70,12 @@ pub struct StageTimes {
     /// Mapping materialisation of the winning layout: op slots, the
     /// `Mapping` artifact and its configuration image.
     pub materialise: Duration,
-    /// Dense MRRG index acquisition (`MrrgIndex::shared`). The first
-    /// acquisition per `(spec, II)` compiles the CSR adjacency; later ones
-    /// are cache hits, so this stays near zero in steady state. The index
-    /// is acquired before negotiation starts, outside the `route` timer, so
-    /// this time is not part of `route`.
+    /// Dense MRRG index acquisition: per routed layout, the index of the
+    /// representatives' PE window (`MrrgIndex::shared_window`), which
+    /// compiles the window's CSR adjacency unless a cached index over the
+    /// same or a larger window serves. Its cost follows the window, not the
+    /// fabric. The index is acquired before negotiation starts, outside the
+    /// `route` timer, so this time is not part of `route`.
     pub index: Duration,
     /// The installed verify hook's cross-check of the winning mapping
     /// (debug builds, or `HiMapOptions::verify`); zero when it did not run.
@@ -160,10 +161,12 @@ pub struct PipelineStats {
     /// ([`HiMapOptions::admission`](crate::HiMapOptions)).
     pub static_bounds: Option<StaticBounds>,
     /// High-water mark of the dense MRRG indexes this run acquired —
-    /// field-wise maximum of [`MrrgIndex::memory_stats`]
-    /// (himap_cgra::MrrgIndex::memory_stats) across every acquisition. The
-    /// mega-fabric tiled path asserts this stays at sub-CGRA scale (the
-    /// full-fabric graph is never materialised).
+    /// field-wise maximum of
+    /// [`MrrgIndex::memory_stats`](himap_cgra::MrrgIndex::memory_stats)
+    /// across every acquisition. On
+    /// the `ROUTE()` path these are the representatives' window indexes, so
+    /// the paper-regime tests and the mega-fabric tiled path assert this
+    /// stays far below the full fabric's graph.
     pub memory: MemoryStats,
     /// High-water mark of one router's allocated search scratch, in bytes
     /// ([`Router::scratch_bytes`](himap_mapper::Router::scratch_bytes)),
@@ -378,7 +381,7 @@ impl StatsCollector {
         crate::himap::lock(&self.workers).push(w);
     }
 
-    /// Charges one `MrrgIndex::shared` acquisition to the index stage.
+    /// Charges one window-index acquisition to the index stage.
     pub(crate) fn add_index_time(&self, d: Duration) {
         self.index_nanos.fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }

@@ -423,6 +423,25 @@ impl SearchScratch {
     }
 }
 
+/// The dense id of a search source, or `None` for a source that is not a
+/// resource of the MRRG (a masked resource cannot carry the signal, so the
+/// search skips it).
+///
+/// # Panics
+///
+/// Panics if `src` is a resource of the MRRG that lies off the index's PE
+/// window: skipping it would silently search a different problem than the
+/// full graph poses, so a window that misses a source is a caller error.
+#[inline]
+fn source_id(index: &MrrgIndex, src: RNode) -> Option<RIdx> {
+    let id = index.index_of(src);
+    if id.is_none() {
+        assert!(!index.mrrg().contains(src), "source {src:?} lies off the router's PE window");
+        debug_assert!(false, "source {src:?} outside MRRG");
+    }
+    id
+}
+
 /// Cost of `signal` entering the resource `idx` under the present/history
 /// congestion state. Free function so search loops can price successors
 /// while the scratch arrays are mutably borrowed.
@@ -596,6 +615,13 @@ impl CostModel for HopBoundCost {
 /// [`ReferenceRouter`](crate::ReferenceRouter), the retained hash-map
 /// implementation it is differentially tested against.
 ///
+/// The index may cover only a window of PEs ([`MrrgIndex::new_window`]).
+/// Dense ids ascend in node order and rows are the full rows filtered to
+/// the window, so a search whose sources and target lie on the window and
+/// whose filter allows nothing off it pops, ties and relaxes exactly as it
+/// would over the whole graph. A source or placement that is a resource of
+/// the MRRG but lies off the window panics rather than being skipped.
+///
 /// See the crate docs for the congestion model and an example.
 #[derive(Clone, Debug)]
 pub struct Router {
@@ -637,6 +663,21 @@ impl Router {
             stats: RouterStats::default(),
             cancel: None,
         }
+    }
+
+    /// Re-targets the router at another index — typically another PE
+    /// window of the same fabric. Occupancy and history are cleared, so the
+    /// router is in the search-visible state of a fresh
+    /// [`Router::with_index`] over `index`, but the search scratch keeps the
+    /// pages earlier searches allocated.
+    pub fn rebind(&mut self, index: Arc<MrrgIndex>) {
+        self.reset();
+        let n = index.len();
+        self.present.resize_with(n, Vec::new);
+        self.history.resize(n, 0.0);
+        self.present_touched = Touched::new(n);
+        self.history_touched = Touched::new(n);
+        self.index = index;
     }
 
     /// Arms (or disarms, with `None`) cooperative cancellation: every search
@@ -761,12 +802,11 @@ impl Router {
         }
         let tgt = index.index_of(target).map_or(NO_PREV, |i| i.0);
         for &src in sources {
-            debug_assert!(index.contains(src), "source {src:?} outside MRRG");
             let at_target = src == target && intended_elapsed.is_none_or(|e| e == 0);
             if at_target {
                 return Some(RoutedPath { signal, nodes: vec![src], elapsed: 0, cost: 0.0 });
             }
-            let Some(si) = index.index_of(src) else { continue };
+            let Some(si) = source_id(index, src) else { continue };
             let key = scratch.key(si.0, 0);
             scratch.set(key, 0.0, NO_PREV, stats);
             scratch.heap.push(HeapEntry { cost: 0.0, idx: si.0, elapsed: 0 });
@@ -900,12 +940,11 @@ impl Router {
         let tgt = index.index_of(target).map_or(NO_PREV, |i| i.0);
         let mut heap: BinaryHeap<BoundedEntry> = BinaryHeap::new();
         for &src in sources {
-            debug_assert!(index.contains(src), "source {src:?} outside MRRG");
             let at_target = src == target && intended_elapsed.is_none_or(|e| e == 0);
             if at_target {
                 return Some(RoutedPath { signal, nodes: vec![src], elapsed: 0, cost: 0.0 });
             }
-            let Some(si) = index.index_of(src) else { continue };
+            let Some(si) = source_id(index, src) else { continue };
             let bound = model.remaining(src);
             if !bound.is_finite() {
                 continue; // the sweep proved this source cannot reach the target
@@ -1024,10 +1063,7 @@ impl Router {
             if src == target && offset == need {
                 return Some(RoutedPath { signal, nodes: vec![src], elapsed: 0, cost: 0.0 });
             }
-            let Some(si) = index.index_of(src) else {
-                debug_assert!(false, "source {src:?} outside MRRG");
-                continue;
-            };
+            let Some(si) = source_id(index, src) else { continue };
             let key = scratch.key(si.0, offset);
             if scratch.relax(key, 0.0, NO_PREV, stats) {
                 scratch.heap.push(HeapEntry { cost: 0.0, idx: si.0, elapsed: offset });
@@ -1097,7 +1133,8 @@ impl Router {
     }
 
     /// Adds external history cost to a resource (replication-aware
-    /// negotiation feeds replica conflicts back through this).
+    /// negotiation feeds replica conflicts back through this). A resource
+    /// off the router's window takes none: no search here can price it.
     pub fn add_history(&mut self, node: RNode, amount: f64) {
         if let Some(i) = self.index.index_of(node) {
             self.history[i.index()] += amount;
@@ -1129,10 +1166,7 @@ impl Router {
             return fu_costs;
         }
         for &src in sources {
-            let Some(si) = index.index_of(src) else {
-                debug_assert!(false, "source {src:?} outside MRRG");
-                continue;
-            };
+            let Some(si) = source_id(index, src) else { continue };
             let key = scratch.key(si.0, 0);
             scratch.set(key, 0.0, NO_PREV, stats);
             scratch.heap.push(HeapEntry { cost: 0.0, idx: si.0, elapsed: 0 });
@@ -1228,8 +1262,14 @@ impl Router {
 
     /// Claims a resource for a placed operation or load (counts toward
     /// capacity like any signal).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is a resource of the MRRG that lies off the
+    /// router's PE window.
     pub fn place(&mut self, node: RNode, signal: SignalId) {
         let Some(i) = self.index.index_of(node) else {
+            assert!(!self.index.mrrg().contains(node), "place of {node:?} off the router's window");
             debug_assert!(false, "place of {node:?} outside MRRG");
             return;
         };

@@ -7,11 +7,19 @@
 //! down to the floating-point bit pattern, under congestion, history and
 //! rip-up alike. Any divergence means the dense refactor changed routing
 //! behavior rather than just its speed.
+//!
+//! A router over a window index must answer every search confined to a
+//! bounding box inside the window exactly as a router over the whole
+//! fabric does: same paths, same costs, same search counters.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use himap_cgra::{CgraSpec, Mrrg, PeId, RKind, RNode};
-use himap_mapper::{Elapsed, ReferenceRouter, RoutedPath, Router, RouterConfig, SignalId};
+use std::sync::Arc;
+
+use himap_cgra::{CapabilityMap, CgraSpec, Mrrg, MrrgIndex, PeId, RKind, RNode};
+use himap_mapper::{
+    Elapsed, ReferenceRouter, RoutedPath, Router, RouterConfig, RouterStats, SignalId,
+};
 use proptest::prelude::*;
 
 /// Everything observable about a routing answer, with the cost as raw bits
@@ -132,6 +140,86 @@ proptest! {
         let a = norm(dense.fu_distances(SignalId(1), &[src], cap));
         let b = norm(legacy.fu_distances(SignalId(1), &[src], cap));
         prop_assert_eq!(a, b);
+    }
+}
+
+/// The search counters a window may not change: all but the scratch-page
+/// allocations (`epoch_resets`), which follow the dense id space.
+fn search_counters(stats: RouterStats) -> (u64, u64, u64, u64) {
+    (stats.searches, stats.nodes_popped, stats.heap_pushes, stats.cancelled)
+}
+
+proptest! {
+    #[test]
+    fn window_searches_match_the_full_index(
+        (rows, cols, ii) in (2usize..6, 2usize..6, 1usize..5),
+        (x0, y0, h, w) in (0usize..6, 0usize..6, 1usize..4, 1usize..4),
+        (flavour, extra) in (0usize..3, any::<u64>()),
+        queries in proptest::collection::vec(
+            (0usize..16, 0usize..16, 0u32..8, 0usize..3), 1..12),
+    ) {
+        let mesh = CgraSpec::mesh(rows, cols).expect("non-empty mesh");
+        let spec = match flavour {
+            0 => mesh,
+            1 => mesh.with_faults(CapabilityMap::heterogeneous(rows, cols)),
+            _ => {
+                let mut faults = CapabilityMap::new();
+                faults.kill_pe(PeId::new(rows - 1, cols - 1));
+                mesh.with_faults(faults)
+            }
+        };
+        let (x0, y0) = (x0 % rows, y0 % cols);
+        let (x1, y1) = ((x0 + h).min(rows) - 1, (y0 + w).min(cols) - 1);
+        let in_box = move |pe: PeId| {
+            (x0..=x1).contains(&(pe.x as usize)) && (y0..=y1).contains(&(pe.y as usize))
+        };
+        let boxed: Vec<PeId> = spec.pes().filter(|&pe| in_box(pe)).collect();
+        // The window: the box plus random further PEs.
+        let window: Vec<PeId> = spec
+            .pes()
+            .enumerate()
+            .filter(|&(i, pe)| in_box(pe) || extra >> i & 1 == 1)
+            .map(|(_, pe)| pe)
+            .collect();
+        let mrrg = Mrrg::new(spec.clone(), ii);
+        let config = RouterConfig::default();
+        let mut full = Router::with_index(Arc::new(MrrgIndex::new(spec.clone(), ii)), config.clone());
+        let mut win = Router::with_index(
+            Arc::new(MrrgIndex::new_window(spec.clone(), ii, window)),
+            config.clone(),
+        );
+        let allowed = |n: RNode| in_box(n.pe);
+        for (q, &(s, t, elapsed, kind)) in queries.iter().enumerate() {
+            // PEs numbered inside the box; kind 0 timed, 1 filtered, 2 bounded.
+            let (s, t) = (s % boxed.len(), t % boxed.len());
+            let src = RNode::new(boxed[s], 0, RKind::Fu);
+            let target = RNode::new(boxed[t], elapsed % ii as u32, RKind::Fu);
+            if !mrrg.contains(src) {
+                continue; // a masked source is no source at all
+            }
+            let signal = SignalId(q as u32 % 3);
+            let run = |router: &mut Router| match kind {
+                0 => router.route_timed(signal, &[(src, 0)], target, elapsed as i64, allowed),
+                1 => router.route_filtered(signal, &[src], target, Some(elapsed), allowed),
+                _ => router.route_bounded(signal, &[src], target, Elapsed::AtMost(elapsed), allowed),
+            };
+            let (a, b) = (run(&mut full), run(&mut win));
+            prop_assert_eq!(fingerprint(&a), fingerprint(&b), "query {}", q);
+            prop_assert_eq!(
+                search_counters(full.take_search_stats()),
+                search_counters(win.take_search_stats()),
+                "query {}", q
+            );
+            // Grow congestion so later searches price occupancy and history.
+            if let Some(path) = a {
+                full.commit(&path);
+                win.commit(&path);
+            }
+            if q % 4 == 3 {
+                prop_assert_eq!(full.bump_history(), win.bump_history());
+                prop_assert_eq!(full.oversubscribed(), win.oversubscribed());
+            }
+        }
     }
 }
 

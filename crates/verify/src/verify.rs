@@ -3,13 +3,14 @@
 //!
 //! Nothing here trusts the mapper's bookkeeping. Occupancy is restamped
 //! from the routes, hop timing is re-derived from the MRRG's architectural
-//! latencies (the CSR successor rows of [`MrrgIndex`], which the
-//! differential tests pin to the implicit [`Mrrg`] enumeration), and the
+//! latencies ([`Mrrg::edge_latency`] on the implicit graph), and the
 //! configuration footprint is recomputed from the placements — so a bug
 //! anywhere in placement, routing, replication or statistics surfaces as a
-//! diagnostic instead of a miscompiled accelerator image.
+//! diagnostic instead of a miscompiled accelerator image. Resources are
+//! named by their arithmetic [`Mrrg::resource_key`], so checking a mapping
+//! builds no index of the fabric.
 
-use himap_cgra::{Mrrg, MrrgIndex, RIdx, RKind, RNode};
+use himap_cgra::{Mrrg, RKind, RNode};
 use himap_core::{ConfigImage, Mapping, Slot};
 use himap_dfg::{EdgeKind, NodeKind};
 use himap_graph::NodeId;
@@ -32,20 +33,18 @@ use himap_analyze::{Code, Diagnostic, DiagnosticSink};
 pub fn verify_mapping(mapping: &Mapping) -> DiagnosticSink {
     let mut sink = DiagnosticSink::new();
     let iib = mapping.stats().iib.max(1);
-    // The shared dense index: normally a cache hit on the exact build the
-    // mapper routed with, so verification adds no graph construction.
-    let index = MrrgIndex::shared(mapping.spec().clone(), iib);
-    let mrrg = index.mrrg();
+    // The implicit graph: existence, hop latency and resource keys are
+    // arithmetic, so verification builds no graph tables.
+    let mrrg = Mrrg::new(mapping.spec().clone(), iib);
 
-    let placements_ok = check_placement(mapping, mrrg, &mut sink);
+    let placements_ok = check_placement(mapping, &mrrg, &mut sink);
     check_route_coverage(mapping, &mut sink);
-    let mut ids = Vec::new();
     for route in mapping.routes() {
-        check_route_path(mapping, &index, route, &mut ids, &mut sink);
+        check_route_path(mapping, &mrrg, route, &mut sink);
     }
     let slots = dense_slots(mapping);
-    check_schedule(mapping, &index, &slots, &mut sink);
-    check_exclusivity(mapping, &index, &slots, &mut sink);
+    check_schedule(mapping, &mrrg, &slots, &mut sink);
+    check_exclusivity(mapping, &mrrg, &slots, &mut sink);
     if placements_ok && !sink.has_errors() {
         // `ConfigImage` trusts placements; only decode an image the checks
         // above found structurally sound.
@@ -170,15 +169,13 @@ fn check_route_coverage(mapping: &Mapping, sink: &mut DiagnosticSink) {
 
 /// One route must be a real MRRG path: every step a valid resource, every
 /// consecutive pair an MRRG edge, and every hop's absolute-time advance
-/// equal to the architectural latency of that edge (read from the dense
-/// index's CSR rows). Register-file shape violations (a register index
-/// beyond the RF size) are reported as V004. `ids` is scratch space for
-/// the steps' dense ids, so each step is looked up once.
+/// equal to the architectural latency of that edge
+/// ([`Mrrg::edge_latency`]). Register-file shape violations (a register
+/// index beyond the RF size) are reported as V004.
 fn check_route_path(
     mapping: &Mapping,
-    index: &MrrgIndex,
+    mrrg: &Mrrg,
     route: &himap_core::RouteInstance,
-    ids: &mut Vec<RIdx>,
     sink: &mut DiagnosticSink,
 ) {
     let e = route.edge;
@@ -189,12 +186,10 @@ fn check_route_path(
         );
         return;
     }
-    let iib = index.ii() as i64;
+    let iib = mrrg.ii() as i64;
     let mut structurally_sound = true;
-    ids.clear();
     for &(node, abs) in &route.steps {
-        // The index holds exactly the MRRG's nodes (`Mrrg::contains`).
-        let Some(id) = index.index_of(node) else {
+        if !mrrg.contains(node) {
             let spec = mapping.spec();
             let (code, what) = if spec.faults.masks(spec, node) {
                 (Code::V006, "resource is faulted (dead, severed or disabled)".to_string())
@@ -218,8 +213,7 @@ fn check_route_path(
             );
             structurally_sound = false;
             continue;
-        };
-        ids.push(id);
+        }
         if abs.rem_euclid(iib) != node.t as i64 {
             sink.push(
                 Diagnostic::error(
@@ -241,9 +235,9 @@ fn check_route_path(
     if !structurally_sound {
         return; // hop checks against invalid nodes would only cascade
     }
-    for (pair, id) in route.steps.windows(2).zip(ids.windows(2)) {
+    for pair in route.steps.windows(2) {
         let ((a, a_abs), (b, b_abs)) = (pair[0], pair[1]);
-        match index.successors(id[0]).find(|&(s, _)| s == id[1]).map(|(_, latency)| latency) {
+        match mrrg.edge_latency(a, b) {
             None => sink.push(
                 Diagnostic::error(
                     Code::V002,
@@ -280,7 +274,7 @@ fn check_route_path(
 /// sorted, deduplicated list answers "is the root's signal at this resource
 /// at this cycle?" by binary search.
 struct Nets {
-    /// `root:32 | resource id:32 | abs:64` for resources of the MRRG.
+    /// `root:32 | resource key:32 | abs:64` for resources of the MRRG.
     indexed: Vec<u128>,
     /// `(root, resource, abs)` for the rest — only illegal mappings step
     /// outside the MRRG, so this stays empty on the common path.
@@ -288,7 +282,7 @@ struct Nets {
 }
 
 impl Nets {
-    fn new(mapping: &Mapping, index: &MrrgIndex) -> Nets {
+    fn new(mapping: &Mapping, mrrg: &Mrrg) -> Nets {
         let graph = mapping.dfg().graph();
         let mut indexed = Vec::new();
         let mut stray = Vec::new();
@@ -300,8 +294,8 @@ impl Nets {
                 if trailing_fu {
                     continue;
                 }
-                match index.index_of(node) {
-                    Some(id) => indexed.push(net_key(root, id, abs)),
+                match mrrg.resource_key(node) {
+                    Some(key) => indexed.push(net_key(root, key, abs)),
                     None => stray.push((root, node, abs)),
                 }
             }
@@ -314,17 +308,17 @@ impl Nets {
     }
 
     /// `true` if `root`'s signal occupies `node` at absolute cycle `abs`.
-    fn contains(&self, index: &MrrgIndex, root: NodeId, node: RNode, abs: i64) -> bool {
+    fn contains(&self, mrrg: &Mrrg, root: NodeId, node: RNode, abs: i64) -> bool {
         let root = root.index() as u32;
-        match index.index_of(node) {
-            Some(id) => self.indexed.binary_search(&net_key(root, id, abs)).is_ok(),
+        match mrrg.resource_key(node) {
+            Some(key) => self.indexed.binary_search(&net_key(root, key, abs)).is_ok(),
             None => self.stray.binary_search(&(root, node, abs)).is_ok(),
         }
     }
 }
 
-fn net_key(root: u32, id: RIdx, abs: i64) -> u128 {
-    u128::from(root) << 96 | u128::from(id.0) << 64 | u128::from(abs as u64)
+fn net_key(root: u32, key: u32, abs: i64) -> u128 {
+    u128::from(root) << 96 | u128::from(key) << 64 | u128::from(abs as u64)
 }
 
 /// Producer→consumer schedule consistency (V003): each route must end at
@@ -333,13 +327,13 @@ fn net_key(root: u32, id: RIdx, abs: i64) -> u128 {
 /// memory causality and anti-dependences.
 fn check_schedule(
     mapping: &Mapping,
-    index: &MrrgIndex,
+    mrrg: &Mrrg,
     slots: &[Option<Slot>],
     sink: &mut DiagnosticSink,
 ) {
     let dfg = mapping.dfg();
     let graph = dfg.graph();
-    let nets = Nets::new(mapping, index);
+    let nets = Nets::new(mapping, mrrg);
     // Per node, the earliest and latest first-step time of the routes
     // leaving it: when a memory-routed load issues.
     let mut load_span: Vec<Option<(i64, i64)>> = vec![None; graph.node_count()];
@@ -424,7 +418,7 @@ fn check_schedule(
                 }
             }
             (EdgeKind::Forward { root }, _) => {
-                if !nets.contains(index, root, first, first_abs) {
+                if !nets.contains(mrrg, root, first, first_abs) {
                     sink.push(
                         Diagnostic::error(
                             Code::V003,
@@ -509,7 +503,7 @@ fn check_schedule(
 /// order.
 fn check_exclusivity(
     mapping: &Mapping,
-    index: &MrrgIndex,
+    mrrg: &Mrrg,
     slots: &[Option<Slot>],
     sink: &mut DiagnosticSink,
 ) {
@@ -517,15 +511,15 @@ fn check_exclusivity(
     let spec = mapping.spec();
     // `signal_at[pos]` is the signal of claim `pos`.
     let mut signal_at: Vec<u32> = Vec::new();
-    // `resource id << 32 | pos` for resources of the MRRG.
+    // `resource key << 32 | pos` for resources of the MRRG.
     let mut indexed: Vec<u64> = Vec::new();
     // `(resource, pos)` for the rest (illegal mappings only).
     let mut stray: Vec<(RNode, u32)> = Vec::new();
     let mut claim = |node: RNode, signal: u32| {
         let pos = signal_at.len() as u32;
         signal_at.push(signal);
-        match index.index_of(node) {
-            Some(id) => indexed.push(u64::from(id.0) << 32 | u64::from(pos)),
+        match mrrg.resource_key(node) {
+            Some(key) => indexed.push(u64::from(key) << 32 | u64::from(pos)),
             None => stray.push((node, pos)),
         }
     };
@@ -566,14 +560,14 @@ fn check_exclusivity(
         }
     };
     for group in indexed.chunk_by(|a, b| a >> 32 == b >> 32) {
-        let node = index.node(RIdx((group[0] >> 32) as u32));
+        let node = mrrg.resource_node((group[0] >> 32) as u32);
         tally(node, &mut group.iter().map(|&c| c as u32));
     }
     for group in stray.chunk_by(|a, b| a.0 == b.0) {
         tally(group[0].0, &mut group.iter().map(|&(_, pos)| pos));
     }
-    // Each list ascends by resource (index ids follow `RNode` order); the
-    // sort merges the two.
+    // Each list ascends by resource (resource keys follow `RNode` order);
+    // the sort merges the two.
     over.sort_by_key(|&(node, _)| node);
     for (node, signals) in over {
         let code = match node.kind {

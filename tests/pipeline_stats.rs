@@ -7,8 +7,8 @@
 //! change to enumeration order, pruning, search or negotiation shows up
 //! here first — update the goldens deliberately when the pipeline changes.
 
-use himap_repro::cgra::CgraSpec;
-use himap_repro::core::{HiMap, HiMapOptions, PipelineStats};
+use himap_repro::cgra::{CgraSpec, Mrrg};
+use himap_repro::core::{HiMap, HiMapOptions, Mapping, PipelineStats};
 use himap_repro::kernels::Kernel;
 
 /// The deterministic (count-only) projection of a `PipelineStats`.
@@ -63,6 +63,14 @@ impl From<&PipelineStats> for Counts {
             router_heap_pushes: p.router_heap_pushes,
         }
     }
+}
+
+/// The sequential walk in the paper's Fig. 8 regime: block = fabric,
+/// `b = c`.
+fn paper_regime(kernel: &Kernel, b: usize) -> (Mapping, PipelineStats) {
+    let options = HiMapOptions { threads: 1, free_extents: vec![b], ..HiMapOptions::default() };
+    let (result, stats) = HiMap::new(options).map_with_stats(kernel, &CgraSpec::square(b));
+    (result.expect("kernel maps in the paper regime"), stats)
 }
 
 fn sequential_counts(kernel: &Kernel, cgra_size: usize) -> Counts {
@@ -137,15 +145,91 @@ fn bicg_4x4_golden_counts() {
     assert_eq!(got, want);
 }
 
+/// gemm's paper-regime walk: the first candidate verifies, and its one
+/// layout takes five negotiation/replication feedback passes. The counts
+/// do not depend on `b`: the representatives and their routes are the
+/// same at every block size.
+fn gemm_paper_regime_counts() -> Counts {
+    Counts {
+        sub_shapes_tried: 16,
+        sub_candidates: 13,
+        candidates_enumerated: 31,
+        candidates_deduped: 47,
+        candidates_tried: 1,
+        candidates_pruned: 0,
+        candidates_abandoned: 0,
+        systolic_searches: 2,
+        systolic_matrices_tried: 432,
+        systolic_maps_found: 48,
+        layouts_tried: 1,
+        route_attempts: 5,
+        pathfinder_rounds: 5,
+        replication_rounds: 5,
+        probe_cache_hits: 0,
+        probe_cache_misses: 1,
+        router_searches: 598,
+        router_nodes_popped: 7199,
+        router_heap_pushes: 10169,
+    }
+}
+
+#[test]
+fn gemm_b16_paper_regime_golden_counts() {
+    let (_, stats) = paper_regime(&himap_repro::kernels::suite::gemm(), 16);
+    assert_eq!(Counts::from(&stats), gemm_paper_regime_counts());
+}
+
+#[test]
+#[ignore = "paper-scale; run in release (ci.sh stage `fig8 paper-regime goldens`)"]
+fn gemm_b32_paper_regime_golden_counts_and_index_memory() {
+    let (_, stats) = paper_regime(&himap_repro::kernels::suite::gemm(), 32);
+    assert_eq!(Counts::from(&stats), gemm_paper_regime_counts());
+    // The negotiation's index covers the representatives' window, not the
+    // 32x32 fabric (about 52 MiB as a full index).
+    assert!(
+        stats.memory.bytes <= 4 << 20,
+        "routing index {:.1} MiB exceeds 4 MiB: {:?}",
+        stats.memory.bytes as f64 / (1024.0 * 1024.0),
+        stats.memory
+    );
+}
+
+#[test]
+#[ignore = "paper-scale; run in release (ci.sh stage `fig8 paper-regime goldens`)"]
+fn ttm_b8_paper_regime_golden_counts() {
+    // The replica-conflict case: 4 candidates and 15 layouts tried, 86
+    // negotiation/replication feedback passes.
+    let (_, stats) = paper_regime(&himap_repro::kernels::suite::ttm(), 8);
+    let want = Counts {
+        sub_shapes_tried: 16,
+        sub_candidates: 13,
+        candidates_enumerated: 46,
+        candidates_deduped: 110,
+        candidates_tried: 4,
+        candidates_pruned: 0,
+        candidates_abandoned: 0,
+        systolic_searches: 8,
+        systolic_matrices_tried: 4320,
+        systolic_maps_found: 480,
+        layouts_tried: 15,
+        route_attempts: 86,
+        pathfinder_rounds: 407,
+        replication_rounds: 86,
+        probe_cache_hits: 3,
+        probe_cache_misses: 1,
+        router_searches: 73_318,
+        router_nodes_popped: 3_068_599,
+        router_heap_pushes: 3_516_077,
+    };
+    assert_eq!(Counts::from(&stats), want);
+}
+
 #[test]
 fn router_scratch_follows_the_routed_region_not_the_fabric() {
     // gemm in the paper's b = c = 16 regime. A dense search scratch over the
     // full 16x16 MRRG at the default 64-cycle elapsed cap would hold about
     // 103 MiB; paged scratch only holds the states the searches reach.
-    let options = HiMapOptions { threads: 1, free_extents: vec![16], ..HiMapOptions::default() };
-    let (result, stats) = HiMap::new(options)
-        .map_with_stats(&himap_repro::kernels::suite::gemm(), &CgraSpec::square(16));
-    result.expect("gemm maps at b = c = 16");
+    let (mapping, stats) = paper_regime(&himap_repro::kernels::suite::gemm(), 16);
     assert!(stats.router_scratch_bytes > 0, "routing ran, so scratch was allocated");
     assert!(
         stats.router_scratch_bytes <= 16 << 20,
@@ -153,6 +237,10 @@ fn router_scratch_follows_the_routed_region_not_the_fabric() {
         stats.router_scratch_bytes as f64 / (1024.0 * 1024.0)
     );
     assert!(stats.summary().contains("router scratch"), "{}", stats.summary());
+    // Likewise the routing index covers the representatives' window: far
+    // fewer nodes than the 16x16 MRRG at the mapping's II.
+    let full = Mrrg::new(CgraSpec::square(16), mapping.stats().iib).node_count();
+    assert!(stats.memory.nodes * 8 < full, "index {:?} vs {full} MRRG nodes", stats.memory);
 }
 
 #[test]
